@@ -2,12 +2,12 @@
 
     python3 perfbench/child.py KIND SIZE --seed N [--trace FILE]
 
-KIND is ``report`` (``hcomplex report --n-max SIZE``), ``morse``
-(``hcomplex morse --n SIZE``) or ``witness`` (``verify_witness`` then
-``witness_payload`` on every admissible pair with n <= SIZE, in an order
-shuffled by the seed, one JSON line per pair).  With ``--trace`` the same
-entry point runs with the outside-in wrappers of tracer.py installed, and the
-spans and counters are written to FILE when it returns.
+KIND is ``report`` (``hcomplex report --n-max SIZE``) or ``witness``
+(``verify_witness`` then ``witness_payload`` on every admissible pair with
+n <= SIZE, in an order shuffled by the seed, one JSON line per pair).  With
+``--trace`` the same entry point runs with the outside-in wrappers of
+tracer.py installed, and the spans and counters are written to FILE when it
+returns.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ import json
 import random
 import sys
 from pathlib import Path
-
-
-def _cli_argv(kind: str, size: int) -> list[str]:
-    if kind == "report":
-        return ["report", "--n-max", str(size), "--no-cache", "--format", "json"]
-    return ["morse", "--n", str(size), "--no-cache"]
 
 
 def _witness_local(size: int, seed: int) -> int:
@@ -42,7 +36,7 @@ def _witness_local(size: int, seed: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("kind", choices=("report", "morse", "witness"))
+    parser.add_argument("kind", choices=("report", "witness"))
     parser.add_argument("size", type=int)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--trace", type=Path)
@@ -59,7 +53,9 @@ def main() -> int:
             return _witness_local(args.size, args.seed)
         import hcomplex.cli
 
-        return hcomplex.cli.main(_cli_argv(args.kind, args.size))
+        return hcomplex.cli.main(
+            ["report", "--n-max", str(args.size), "--no-cache", "--format", "json"]
+        )
     finally:
         if tracer is not None:
             tracer.dump(args.trace)

@@ -1,4 +1,4 @@
-"""The hcomplex benchmark: three workloads, output checks, end-to-end and per-layer metrics.
+"""The hcomplex benchmark: two workloads, output checks, end-to-end and per-layer metrics.
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
@@ -30,28 +30,27 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 OUT = BENCH / "out"
 
-# name -> (child kind, size): n-max of the report, n of the morse run, and
-# the largest n of the witness pairs
+# name -> (child kind, size): n-max of the report, and the largest n of the
+# witness pairs
 WORKLOADS = {
     "report-n8": ("report", 8),
-    "morse-n9": ("morse", 9),
     "witness-local": ("witness", 24),
 }
 
-# Frozen outputs of the seed code.  Sizes other than the workloads' serve the
-# self-tests.  EULER is tanh_euler_characteristic(n), frozen here so that the
-# check does not rely on the code it checks.
-MORSE_M = {
-    9: {2: 13475, 3: 51354, 4: 37919, 5: 8421, 6: 446, 7: 1},
-    6: {1: 113, 2: 149, 3: 37, 4: 1},
-}
-EULER = {9: -7936, 6: 0}
+# Frozen payload digests of the seed code.  Sizes other than the workload's
+# serve the self-tests.
 WITNESS_SHA256 = {
     24: "7897758dc832b76523ecac3dc073c0328ac4775e123aad001e58429f40c2a1e3",
     9: "46e6b750276ecf8efe3b5d40cb4cbec3496dcecdeda73e4b5f8ce2ebcb4076f2",
 }
 
-SETUP_SAMPLES = 11
+# setup_s: timed imports taken before the first round and after every round,
+# so that they fall in more than one stretch of the machine's speed
+SETUP_BURST = 7
+SETUP_CODE = (
+    "import time; start = time.perf_counter(); import hcomplex.cli; "
+    "print(time.perf_counter() - start)"
+)
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -81,22 +80,22 @@ def spawn(argv: list[str], stdout_path: Path) -> tuple[float, float, int]:
     return elapsed, usage.ru_maxrss / 1024, proc.returncode
 
 
-def measure_setup() -> float:
-    """Median seconds for a fresh interpreter to ``import hcomplex.cli``.
+def measure_setup(count: int) -> list[float]:
+    """Seconds a fresh interpreter spends in ``import hcomplex.cli``, ``count`` times.
 
-    One untimed import first writes the bytecode cache, so compiling it is
-    not counted.
+    The child times the import itself, so starting the interpreter is not
+    counted.  The bytecode cache is written by an untimed import before the
+    first sample (see ``run_workload``).
     """
-    argv = [sys.executable, "-c", "import hcomplex.cli"]
+    argv = [sys.executable, "-c", SETUP_CODE]
     sink = OUT / "setup.out"
     times = []
-    for i in range(SETUP_SAMPLES + 1):
-        elapsed, _, code = spawn(argv, sink)
+    for _ in range(count):
+        _, _, code = spawn(argv, sink)
         if code != 0:
             raise RuntimeError(f"import hcomplex.cli failed, see {sink.with_suffix('.err')}")
-        if i:
-            times.append(elapsed)
-    return statistics.median(times)
+        times.append(float(sink.read_text()))
+    return times
 
 
 # -- output checks -------------------------------------------------------------
@@ -107,8 +106,6 @@ def expected(kind: str, size: int):
     if kind == "report":
         rows = json.loads((BENCH / "expected" / "report-n8.json").read_text())["rows"]
         return (json.dumps({"rows": rows[:size]}, indent=2, sort_keys=True) + "\n").encode()
-    if kind == "morse":
-        return MORSE_M[size], EULER[size]
     return WITNESS_SHA256[size]
 
 
@@ -124,20 +121,6 @@ def check(kind: str, size: int, code: int, stdout: bytes, expect) -> dict[str, b
         verdicts = {row.get("n"): row.get("verdict") for row in rows}
         for n in range(1, size + 1):
             checks[f"row_{n}_pass"] = verdicts.get(n) == "PASS"
-    elif kind == "morse":
-        m_expected, euler = expect
-        try:
-            payload = json.loads(stdout)
-            m = {int(d): c for d, c in payload["m"].items()}
-            acyclic = payload["acyclic"] is True
-        except (ValueError, KeyError, TypeError, AttributeError):
-            m, acyclic = {}, False
-        checks["acyclic"] = acyclic
-        checks["m_frozen"] = bool(m) and all(
-            m.get(d, 0) == m_expected.get(d, 0) for d in range(-1, size - 1)
-        ) and set(m) == set(range(-1, size - 1))
-        checks["m_total"] = bool(m) and sum(m.values()) == sum(m_expected.values())
-        checks["euler_is_tanh"] = bool(m) and sum((-1) ** d * c for d, c in m.items()) == euler
     else:
         try:
             records = [json.loads(line) for line in stdout.splitlines()]
@@ -183,18 +166,21 @@ def sample(kind: str, size: int, seed: int, expect, trace_path: Path | None = No
 def run_workload(kind: str, size: int, seed: int, seconds: float, trace: bool, expect=None):
     """Sample while the next round should end within ``seconds``, at least once.
 
-    A round is one sample, or with ``trace`` an untraced and a traced sample.
-    Returns (checks, metrics); each metric is the median over the rounds.
+    A round is one sample and a burst of ``setup_s`` imports, or with
+    ``trace`` an untraced and a traced sample.  Returns (checks, metrics,
+    samples): each timing is the median over its samples, and ``samples``
+    holds the untraced verdicts and the setup times.
     """
     OUT.mkdir(parents=True, exist_ok=True)
     if expect is None:
         expect = expected(kind, size)
     checks: list[bool] = []
     metrics: dict[str, float] = {}
-    if not trace:
-        setup_s = measure_setup()
-    verdicts, rss, traced_verdicts, layers, rounds = [], [], [], [], []
+    verdicts, rss, setups, traced_verdicts, layers, rounds = [], [], [], [], [], []
     start = time.perf_counter()
+    if not trace:
+        measure_setup(1)  # writes the bytecode cache; not counted
+        setups += measure_setup(SETUP_BURST)
     while not rounds or time.perf_counter() - start + statistics.median(rounds) <= seconds:
         round_start = time.perf_counter()
         elapsed, rss_mb, sample_checks = sample(kind, size, seed, expect)
@@ -209,6 +195,9 @@ def run_workload(kind: str, size: int, seed: int, seconds: float, trace: bool, e
             checks += sample_checks.values()
             spans, counts = tracer.read_trace(trace_path) if trace_path.exists() else ([], {})
             layers.append(tracer.layer_metrics(spans, counts))
+            checks += coverage_checks(kind, size, layers[-1]).values()
+        else:
+            setups += measure_setup(SETUP_BURST)
         rounds.append(time.perf_counter() - round_start)
     if trace:
         for name in layers[0]:
@@ -220,8 +209,17 @@ def run_workload(kind: str, size: int, seed: int, seconds: float, trace: bool, e
     else:
         metrics["verdict_s"] = statistics.median(verdicts)
         metrics["peak_rss_mb"] = statistics.median(rss)
-        metrics["setup_s"] = setup_s
-    return checks, metrics
+        metrics["setup_s"] = statistics.median(setups)
+    return checks, metrics, {"verdict_s": verdicts, "setup_s": setups}
+
+
+def coverage_checks(kind: str, size: int, layer: dict[str, float]) -> dict[str, bool]:
+    """One check per layer metric the workload must move: it reads above 0.
+
+    A 0 there means calls went past the tracer's wrappers (say, through a
+    new import path), which would otherwise read as a layer that got free.
+    """
+    return {f"covered_{name}": layer[name] > 0 for name in tracer.covered(kind, size)}
 
 
 # -- provenance and output ---------------------------------------------------------
@@ -243,6 +241,8 @@ def provenance(seed: int) -> dict:
             ).stdout.strip() or None
         except OSError:
             pass
+    # A checkout exported without .git has no commit to report; the hash of
+    # src/ still tells which code ran.
     src = hashlib.sha256()
     for path in sorted((ROOT / "src").rglob("*.py")):
         src.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
@@ -281,13 +281,15 @@ def main() -> int:
 
     info = provenance(args.seed)
     kind, size = WORKLOADS[args.workload]
-    checks, metrics = run_workload(kind, size, args.seed, args.seconds, bool(args.trace))
+    checks, metrics, samples = run_workload(kind, size, args.seed, args.seconds, bool(args.trace))
     info["loadavg_after"] = _read("/proc/loadavg")
     failed = checks.count(False)
     unit = units(bool(args.trace))
     print(json.dumps({"provenance": info, "workload": args.workload}))
     print(f"{args.workload}: {len(checks)} checks, {failed} failed, "
-          f"fail_ratio {failed / len(checks):.4f}; "
+          f"fail_ratio {failed / len(checks):.4f}; {len(samples['verdict_s'])} samples ("
+          + ", ".join(f"{v:.2f}" for v in samples["verdict_s"])
+          + f" s) and {len(samples['setup_s'])} setup samples; "
           + ", ".join(f"{k} {v:.4f} {unit[k]}" for k, v in metrics.items()))
     print(json.dumps({
         "correct": failed == 0,

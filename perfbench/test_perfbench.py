@@ -13,8 +13,9 @@ import sys
 import pytest
 
 import run
+import tracer
 
-TINY = [("report", 5), ("morse", 6), ("witness", 9)]
+TINY = [("report", 5), ("witness", 9)]
 SPEC = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 
 
@@ -25,7 +26,7 @@ def _counts(metrics: dict[str, float]) -> dict[str, float]:
 @pytest.mark.parametrize("kind,size", TINY)
 def test_every_metric_name_is_emitted_and_checks_pass(kind, size):
     for trace, section in ((False, "end_to_end"), (True, "per_layer")):
-        checks, metrics = run.run_workload(kind, size, seed=1, seconds=0, trace=trace)
+        checks, metrics, _ = run.run_workload(kind, size, seed=1, seconds=0, trace=trace)
         assert checks and all(checks)
         assert set(metrics) == {m["name"] for m in SPEC[section]}
         assert all(isinstance(v, (int, float)) for v in metrics.values())
@@ -56,12 +57,9 @@ def test_tampered_expectation_counts_as_failure(kind, size):
     expect = run.expected(kind, size)
     if kind == "report":
         tampered = expect.replace(b'"PASS"', b'"FAIL"', 1)
-    elif kind == "morse":
-        m, euler = expect
-        tampered = ({**m, 2: m[2] + 1}, euler)
     else:
         tampered = "0" * 64
-    checks, _ = run.run_workload(kind, size, seed=1, seconds=0, trace=False, expect=tampered)
+    checks, _, _ = run.run_workload(kind, size, seed=1, seconds=0, trace=False, expect=tampered)
     assert 0 < checks.count(False) < len(checks)
 
 
@@ -71,14 +69,24 @@ def test_failed_child_is_a_failed_check_not_an_error(kind, size):
     assert checks and not any(checks.values())
 
 
-def test_refuses_to_run_without_sources():
-    bare = run.OUT / "bare"
-    shutil.rmtree(bare, ignore_errors=True)
-    shutil.copytree(run.BENCH, bare / "perfbench", ignore=shutil.ignore_patterns("out"))
-    shutil.copy(run.ROOT / "BENCHMARK.json", bare)
+def test_a_layer_reading_zero_is_a_failed_check():
+    names = {m["name"] for m in SPEC["per_layer"]}
+    for kind, size in TINY:
+        assert set(tracer.covered(kind, size)) <= names
+    layer = dict.fromkeys(tracer.covered("witness", 24), 1.0)
+    assert all(run.coverage_checks("witness", 24, layer).values())
+    layer["perms.face_from_chain.calls"] = 0
+    checks = run.coverage_checks("witness", 24, layer)
+    assert [name for name, ok in checks.items() if not ok] == ["covered_perms.face_from_chain.calls"]
+
+
+def test_refuses_to_run_without_sources(tmp_path):
+    shutil.copytree(run.BENCH, tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "test_*.py", "__pycache__"))
+    shutil.copy(run.ROOT / "BENCHMARK.json", tmp_path)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "morse-n9", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", "report-n8", "--seed", "1",
          "--seconds", "1", "--trace", "0"],
-        cwd=bare, capture_output=True, text=True, timeout=60,
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode != 0 and proc.stdout == ""

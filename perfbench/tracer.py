@@ -67,6 +67,46 @@ SELF_TIME_SPANS = tuple(
 )
 
 
+# Per-layer metrics each child kind runs, so they read above 0 (the README's
+# layer table).  run.py counts a 0 among them as a failed check.
+COVERED = {
+    "report": (
+        "cli.main.self_s", "reports.conjecture_row.self_s", "reports.row_n8_s",
+        "complexes.enumerate_faces.self_s", "complexes.is_free_face.self_s",
+        "complexes.faces", "complexes.covers_down.calls", "complexes.covers_per_face",
+        "matching.build_matching.primal.self_s", "matching.build_matching.dual.self_s",
+        "matching.verify_well_defined.self_s", "matching.critical_faces.self_s",
+        "matching.partner.calls", "matching.critical", "matching.critical_ratio",
+        "morse.build_digraph.self_s", "morse.check_acyclic.self_s",
+        "morse.morse_numbers.self_s", "morse.verify_certificate.self_s", "morse.arcs",
+        "homology.boundary_matrix.self_s", "homology.betti_table.self_s",
+        "homology.nonzero_dims_via_ranks.self_s", "homology.boundary_matrix.calls",
+        "homology.distinct_boundaries", "homology.boundary_reuse", "homology.nnz",
+        "snf.smith_normal_form.self_s", "snf.rank_q.self_s", "snf.rank_mod_p.self_s",
+        "snf.eliminations", "snf.eliminations_per_boundary", "snf.unit_pivots",
+    ),
+    "witness": (
+        "homology.boundary_of_chain.self_s", "perms.face_from_chain.calls",
+        "perms.face_from_perm.calls", "witnesses.verify_witness.self_s",
+        "witnesses.cycle_witness.self_s", "witnesses.has_local_parent.self_s",
+        "witnesses.witness_payload.self_s", "witnesses.terms",
+    ),
+}
+# Report rows from n = 8 on find their homology by ranks over Q and F_p
+# instead of over Z, so these only run once the report reaches n = 8.
+FROM_ROW_8 = (
+    "reports.row_n8_s", "homology.nonzero_dims_via_ranks.self_s",
+    "snf.rank_q.self_s", "snf.rank_mod_p.self_s",
+)
+
+
+def covered(kind: str, size: int) -> tuple[str, ...]:
+    """The metrics of COVERED[kind] that a run of that size reaches."""
+    if kind == "report" and size < 8:
+        return tuple(name for name in COVERED[kind] if name not in FROM_ROW_8)
+    return COVERED[kind]
+
+
 def _span_name(module: str, name: str, args: tuple, kwargs: dict) -> str:
     if name == "build_matching":
         dual = kwargs.get("dual", args[1] if len(args) > 1 else False)
@@ -204,7 +244,8 @@ def _ratio(num: float, den: float) -> float:
 def layer_metrics(spans: list[dict], counts: dict[str, int]) -> dict[str, float]:
     """The per-layer metrics of one traced run, by BENCHMARK.json name.
 
-    Layers a workload never calls report 0.
+    Layers a workload never calls report 0; ``covered`` names the ones that
+    must not.
     """
     own = self_times(spans)
     out: dict[str, float] = {f"{name}.self_s": own.get(name, 0.0) for name in SELF_TIME_SPANS}
