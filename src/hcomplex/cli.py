@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .cache import cache_load, cache_store, resolve_cache_dir
-from .complexes import BudgetExceededError, FaceTable, enumerate_faces
+from .complexes import ENUM_CEILING, BudgetExceededError, FaceTable, enumerate_faces
 from .homology import COEFFICIENTS, betti_table
 from .matching import build_matching, verify_well_defined
 from .morse import check_thresholds, morse_numbers
@@ -39,7 +39,6 @@ from .reports import (
 )
 from .witnesses import verify_witness, witness_payload
 
-ENUM_CEILING = 9
 HOMOLOGY_CEILING = 8
 
 

@@ -10,6 +10,11 @@ complex (with the identity contributing the empty face).
 recomputes, definitionally, the minimal new face of every facet of the order
 complex of the lattice under the lexicographic shelling and confirms it is
 the descent chain.
+
+The cover relation (erase one bar) is computed once per face table, by one
+``covers_down`` call per face, and kept as ``FaceTable.cover_incidence``:
+per face id, the ids of the faces it covers, in bar order.  Both Morse
+digraphs, the free-face flags and the signed boundary matrices all read it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .perms import BarredFace, Permutation, blocks_of_word, face_from_perm, merge_blocks
+from .perms import BarredFace, Permutation, blocks_of_word, face_from_perm
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
 
@@ -55,7 +60,7 @@ class FaceTable:
     n: int
     faces: list[BarredFace]
     id_of_core: dict[tuple[int, ...], int]
-    _id_of_chain: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
+    _covers: list[list[int]] | None = field(default=None, repr=False)
     _has_parent: list[bool] | None = field(default=None, repr=False)
     _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
 
@@ -65,10 +70,18 @@ class FaceTable:
     def id_of_face(self, f: BarredFace) -> int:
         return self.id_of_core[f.word[1:-1]]
 
-    def id_of_chain(self, chain: tuple[int, ...]) -> int:
-        if self._id_of_chain is None:
-            self._id_of_chain = {f.chain(): i for i, f in enumerate(self.faces)}
-        return self._id_of_chain[chain]
+    def cover_incidence(self) -> list[list[int]]:
+        """Per face id, the ids of the faces it covers, in bar order.
+
+        Erasing bar i carries the boundary sign (-1)^i.  Built on first use
+        with one ``covers_down`` call per face.
+
+        >>> enumerate_faces(3).cover_incidence()
+        [[], [0], [0], [0], [0], [3, 4]]
+        """
+        if self._covers is None:
+            self._covers = [[e.lower for e in covers_down(self, f)] for f in self.faces]
+        return self._covers
 
     def ids_by_dim(self) -> dict[int, list[int]]:
         if self._ids_by_dim is None:
@@ -82,9 +95,9 @@ class FaceTable:
         """Whether some face of the table properly contains this one."""
         if self._has_parent is None:
             flags = [False] * len(self.faces)
-            for f in self.faces:
-                for edge in covers_down(self, f):
-                    flags[edge.lower] = True
+            for lowers in self.cover_incidence():
+                for g in lowers:
+                    flags[g] = True
             self._has_parent = flags
         return self._has_parent[face_id]
 
@@ -110,15 +123,32 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
 def covers_down(table: FaceTable, f: BarredFace) -> list[CoverEdge]:
     """All faces covered by f: one bar erased each.
 
+    Erasing a bar sorts the two runs of the word it separates into one; the
+    sorted word is looked up in the table.  Raises ValueError unless the face
+    found there has exactly one block fewer than f.
+
     >>> t = enumerate_faces(3)
     >>> [(e.lower, e.bar_index) for e in covers_down(t, t.faces[5])]
     [(3, 0), (4, 1)]
     """
-    fid = table.id_of_face(f)
+    core = f.word[1:-1]
+    ids, faces = table.id_of_core, table.faces
+    fid = ids[core]
+    bars = len(f.blocks) - 1  # also the block count of every face below
+    # ends[i]: word position just past block i, so core position just past
+    # block i is ends[i] - 1 (slicing clamps the last block's end)
+    ends = list(itertools.accumulate(map(len, f.blocks)))
     edges = []
-    for bar in range(len(f.blocks) - 1):
-        lowered = merge_blocks(f, bar)
-        edges.append(CoverEdge(fid, table.id_of_face(lowered), bar))
+    for bar in range(bars):
+        lo = ends[bar - 1] - 1 if bar else 0
+        hi = ends[bar + 1] - 1
+        lower = ids[core[:lo] + tuple(sorted(core[lo:hi])) + core[hi:]]
+        if len(faces[lower].blocks) != bars:
+            raise ValueError(
+                f"erasing bar {bar} of {f!r} gives {faces[lower]!r}, "
+                "not a face with one block fewer"
+            )
+        edges.append(CoverEdge(fid, lower, bar))
     return edges
 
 
@@ -209,7 +239,8 @@ def tanh_euler_characteristic(n: int) -> int:
     [-1, 0, 2, 0, -16, 0, 272]
     """
     value = -_tanh_series(n)[n] * math.factorial(n)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError(f"n! [x^n](-tanh x) = {value} is not an integer")
     return int(value)
 
 

@@ -63,14 +63,14 @@ def boundary_matrix(table: FaceTable, dim: int) -> BoundaryMatrix:
     (1, 4, 4)
     """
     by_dim = table.ids_by_dim()
+    covers = table.cover_incidence()
     col_ids = by_dim.get(dim, [])
     row_pos = {g: k for k, g in enumerate(by_dim.get(dim - 1, []))}
     rows: Rows = {}
     for c, g in enumerate(col_ids):
-        chain = table.faces[g].chain()
-        for i in range(len(chain)):
-            r = row_pos[table.id_of_chain(chain[:i] + chain[i + 1:])]
-            rows.setdefault(r, {})[c] = 1 if i % 2 == 0 else -1
+        # erasing bar i deletes chain element i: sign (-1)^i
+        for i, lower in enumerate(covers[g]):
+            rows.setdefault(row_pos[lower], {})[c] = 1 if i % 2 == 0 else -1
     return BoundaryMatrix(table.n, dim, len(row_pos), len(col_ids), rows)
 
 
@@ -122,7 +122,8 @@ def betti_table(table: FaceTable, coefficients: str = "Z") -> BettiTable:
     betti = {
         d: f[d] - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(-1, n - 1)
     }
-    assert all(b >= 0 for b in betti.values())
+    if any(b < 0 for b in betti.values()):
+        raise AssertionError(f"negative Betti number for n={n}: {betti}")
     return BettiTable(n, coefficients, betti, torsion)
 
 

@@ -12,7 +12,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 
-from .complexes import FaceTable, covers_down
+from .complexes import FaceTable
 from .matching import MatchingMap
 
 
@@ -36,16 +36,17 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     >>> g.arc_count, g.out[0], g.out[5]
     (6, [1], [3, 4])
     """
-    out: list[list[int]] = [[] for _ in table.faces]
+    covers = table.cover_incidence()
+    out: list[list[int]] = [[] for _ in covers]
     arcs = 0
     pairs = matching.pairs
-    for face in table.faces:
-        for edge in covers_down(table, face):
-            if pairs.get(edge.lower) == edge.upper:
-                out[edge.lower].append(edge.upper)
+    for upper, lowers in enumerate(covers):
+        for lower in lowers:
+            if pairs.get(lower) == upper:
+                out[lower].append(upper)
             else:
-                out[edge.upper].append(edge.lower)
-            arcs += 1
+                out[upper].append(lower)
+        arcs += len(lowers)
     return MorseDigraph(table.n, matching.dual, out, arcs)
 
 
@@ -66,7 +67,7 @@ def _digest(kind: str, seq: tuple[int, ...]) -> str:
 
 
 def check_acyclic(g: MorseDigraph) -> AcyclicityCertificate:
-    """Kahn peeling; on failure, walk the leftover subgraph to a cycle.
+    """Kahn peeling; on failure, walk the leftover subgraph back to a cycle.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -75,6 +76,8 @@ def check_acyclic(g: MorseDigraph) -> AcyclicityCertificate:
     True
     >>> loop = MorseDigraph(0, False, [[1], [2], [0]], 3)
     >>> check_acyclic(loop).cycle
+    (0, 1, 2)
+    >>> check_acyclic(MorseDigraph(0, False, [[1], [2], [3, 0], []], 4)).cycle
     (0, 1, 2)
     """
     indeg = [0] * len(g.out)
@@ -92,18 +95,23 @@ def check_acyclic(g: MorseDigraph) -> AcyclicityCertificate:
                 queue.append(w)
     if len(order) == len(g.out):
         return AcyclicityCertificate(True, tuple(order), None, _digest("order", tuple(order)))
-    # every remaining node keeps positive in-degree: following arcs inside
-    # the remainder must revisit a node
+    # every remaining node keeps positive in-degree from the remainder, but
+    # may be a sink: following in-arcs backward inside it must revisit a node
     remaining = {v for v in range(len(g.out)) if indeg[v] > 0}
-    start = min(remaining)
+    pred: dict[int, int] = {}
+    for v in sorted(remaining):
+        for w in g.out[v]:
+            if w in remaining:
+                pred.setdefault(w, v)
     path: list[int] = []
     position: dict[int, int] = {}
-    v = start
+    v = min(remaining)
     while v not in position:
         position[v] = len(path)
         path.append(v)
-        v = next(w for w in g.out[v] if w in remaining)
-    cycle = tuple(path[position[v]:])
+        v = pred[v]
+    back = path[position[v]:]  # walked against the arcs, starting at v
+    cycle = (v,) + tuple(reversed(back[1:]))
     return AcyclicityCertificate(False, None, cycle, _digest("cycle", cycle))
 
 

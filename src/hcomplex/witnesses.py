@@ -89,7 +89,8 @@ def witness_spec(n: int, k: int) -> WitnessSpec:
         face = BarredFace(
             n, ((0,) + blocks[0],) + tuple(blocks[1:-1]) + (blocks[-1] + (n + 1,),)
         )
-    assert face.dim == k
+    if face.dim != k:
+        raise AssertionError(f"free face {face!r} has dimension {face.dim}, not {k}")
     gens = []
     pos = 0
     for b in blocks[: k + 1]:
@@ -126,7 +127,8 @@ def cycle_witness(n: int, k: int) -> SignedChain:
             for p, q in subset:
                 word[p], word[q] = word[q], word[p]
             face = face_from_perm(Permutation.from_core(tuple(word)))
-            assert face.dim == k and face not in coeffs
+            if face.dim != k or face in coeffs:
+                raise AssertionError(f"swap term {face!r} is repeated or not of dimension {k}")
             coeffs[face] = 1 if size % 2 == 0 else -1
     return SignedChain(n, k, coeffs)
 

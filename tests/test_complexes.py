@@ -8,6 +8,7 @@ import sympy
 
 from hcomplex.complexes import (
     BudgetExceededError,
+    FaceTable,
     alternating_eulerian,
     covers_down,
     enumerate_faces,
@@ -82,6 +83,29 @@ def test_covers_down_matches_chain_deletion(table):
                 assert e.upper == t.id_of_face(f)
                 expected = chain[: e.bar_index] + chain[e.bar_index + 1 :]
                 assert t.faces[e.lower].chain() == expected
+
+
+def test_cover_incidence_is_covers_down_in_bar_order(table):
+    for n in range(1, 7):
+        t = table(n)
+        covers = t.cover_incidence()
+        assert len(covers) == len(t)
+        for f, lowers in zip(t.faces, covers):
+            assert lowers == [e.lower for e in covers_down(t, f)]
+
+
+def test_covers_down_rejects_a_table_with_swapped_faces():
+    t = enumerate_faces(4)
+    faces = list(t.faces)
+    top = len(faces) - 1
+    assert faces[1].dim == 0 and faces[top].dim == 2
+    faces[1], faces[top] = faces[top], faces[1]
+    bad = FaceTable(4, faces, dict(t.id_of_core))
+    with pytest.raises(ValueError, match="one block fewer"):
+        for f in bad.faces:
+            covers_down(bad, f)
+    with pytest.raises(ValueError, match="one block fewer"):
+        bad.cover_incidence()
 
 
 def test_free_faces_match_brute_force_containment(table):

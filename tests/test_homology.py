@@ -37,6 +37,28 @@ def dense(bm):
     return out
 
 
+def boundary_by_chain_deletion(t, dim):
+    """d_dim built by deleting one chain element and looking the rest up."""
+    id_of_chain = {f.chain(): i for i, f in enumerate(t.faces)}
+    by_dim = t.ids_by_dim()
+    row_pos = {g: k for k, g in enumerate(by_dim.get(dim - 1, []))}
+    rows = {}
+    for c, g in enumerate(by_dim.get(dim, [])):
+        chain = t.faces[g].chain()
+        for i in range(len(chain)):
+            r = row_pos[id_of_chain[chain[:i] + chain[i + 1:]]]
+            rows.setdefault(r, {})[c] = 1 if i % 2 == 0 else -1
+    return len(row_pos), len(by_dim.get(dim, [])), rows
+
+
+def test_boundary_matrices_match_chain_deletion(table):
+    for n in range(1, 7):
+        t = table(n)
+        for d in range(0, n - 1):
+            bm = boundary_matrix(t, d)
+            assert (bm.n_rows, bm.n_cols, bm.rows) == boundary_by_chain_deletion(t, d)
+
+
 def test_boundary_matrices_compose_to_zero(table):
     for n in range(2, 7):
         t = table(n)

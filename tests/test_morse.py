@@ -65,6 +65,13 @@ def test_cycle_extraction_and_certificate_rejection():
     assert cert.cycle == (0, 1, 2)
     assert verify_certificate(loop, cert)
 
+    # node 3 is a sink fed from the cycle, so it survives the peeling too
+    with_sink = MorseDigraph(0, False, [[1], [2], [3, 0], []], 4)
+    cert = check_acyclic(with_sink)
+    assert not cert.acyclic and cert.order is None
+    assert cert.cycle == (0, 1, 2)
+    assert verify_certificate(with_sink, cert)
+
     dag = MorseDigraph(0, False, [[1], [2], [], []], 2)
     good = check_acyclic(dag)
     assert good.acyclic and verify_certificate(dag, good)
