@@ -35,7 +35,7 @@ print("\nn  expected dims   observed dims   verdict")
 for n in range(2, 8):
     check = check_conjecture(enumerate_faces(n))
     print(f"{n}  {check.expected!s:>14}  {check.observed!s:>14}  "
-          f"{'PASS' if check.ok else 'FAIL'} ({check.method})")
+          f"{'PASS' if check.ok else 'FAIL'}")
 
 # two structural cross-checks: Poincare-style symmetry of the Betti
 # numbers, and the Morse numbers of the matching bounding them above

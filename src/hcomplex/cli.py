@@ -5,10 +5,10 @@ Exit codes: 0 when everything checks out, 1 when a verification is falsified,
 2 on usage or resource errors (including the size ceilings).
 
 Hard ceilings keep accidental big runs out: enumeration and matching stop at
-n = 9, homology and the aggregate reports at n = 8.  ``--unsafe-budget``
-lifts them.  Artifacts go to stdout or ``--out``; when a cache directory is
-configured (flag first, HCOMPLEX_CACHE_DIR otherwise) verified payloads are
-reused and stored there.
+n = 9, homology and the aggregate reports at n = 8, and cycle witnesses
+(2^(k+1) terms) at k = 10.  ``--unsafe-budget`` lifts them.  Artifacts go
+to stdout or ``--out``; when a cache directory is configured (flag first,
+HCOMPLEX_CACHE_DIR otherwise) verified payloads are reused and stored there.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .reports import (
 from .witnesses import verify_witness, witness_payload
 
 HOMOLOGY_CEILING = 8
+WITNESS_CEILING = 10
 
 
 class Falsification(Exception):
@@ -150,6 +151,10 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    _require(
+        args.unsafe_budget or args.k <= WITNESS_CEILING,
+        f"k={args.k} exceeds witness ceiling k<={WITNESS_CEILING}",
+    )
     report = verify_witness(args.n, args.k)
     if not report.ok:
         print(f"falsified: witness checks {report.checks}", file=sys.stderr)

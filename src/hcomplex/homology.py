@@ -12,8 +12,9 @@ Reduced homology is read off the Smith normal form of the boundary matrices,
     betti~_d = f_d - rank d_d - rank d_{d+1},
     torsion of H~_d = invariant factors > 1 of d_{d+1},
 
-either exactly over Z, or (for sizes where full Smith form is too slow) from
-ranks over Q and over F_p for a few small primes: H~_d has p-torsion exactly
+exactly over Z.  Ranks over the other coefficients come from the same
+invariant factors by the universal coefficient theorem: rank_Q counts them
+and rank_p counts those p does not divide, so H~_d has p-torsion exactly
 when rank_p d_{d+1} < rank_Q d_{d+1}.
 
 >>> t = enumerate_faces(3)
@@ -177,34 +178,19 @@ class ConjectureCheck:
     n: int
     expected: tuple[int, ...]
     observed: tuple[int, ...]
-    method: str
     ok: bool
 
 
-def check_conjecture(table: FaceTable, method: str = "auto") -> ConjectureCheck:
-    """Compare observed non-vanishing dimensions with the middle-third window.
-
-    method: "snf" for exact integral homology, "ranks" for the Q + F_p rank
-    comparison, "auto" to use snf up to n = 7 and ranks beyond.
+def check_conjecture(table: FaceTable) -> ConjectureCheck:
+    """Compare the dimensions with non-zero integral homology to the middle third.
 
     >>> check_conjecture(enumerate_faces(5))
-    ConjectureCheck(n=5, expected=(1,), observed=(1,), method='snf', ok=True)
+    ConjectureCheck(n=5, expected=(1,), observed=(1,), ok=True)
     """
-    if method == "auto":
-        method = "snf" if table.n <= 7 else "ranks"
-    if method == "snf":
-        observed = nonzero_dims_over_z(table)
-    elif method == "ranks":
-        observed = nonzero_dims_via_ranks(table)
-    else:
-        raise ValueError("method must be snf, ranks, or auto")
+    observed = nonzero_dims_over_z(table)
     expected = expected_nonzero_dims(table.n)
     return ConjectureCheck(
-        table.n,
-        tuple(sorted(expected)),
-        tuple(sorted(observed)),
-        method,
-        observed == expected,
+        table.n, tuple(sorted(expected)), tuple(sorted(observed)), observed == expected
     )
 
 

@@ -8,8 +8,8 @@ chain element, and their permutations differ by one adjacent transposition.
 The dual matching applies the same rules to the order-reversed structure
 (maximal decreasing runs, bars at ascents).  It is implemented by complement
 conjugation: complement the permutation letters (a_i -> n+1-a_i), match, and
-complement back.  ``dual_partner_by_runs`` re-derives the same map directly
-on mirrored words as a cross-check.
+complement back.  Dual critical faces are checked on the same structure:
+``critical_faces`` reads their decreasing runs with ``perms.decreasing_runs``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from .perms import (
     BarredFace,
     IntervalDiagnosis,
     MatchableType,
-    Permutation,
     SplitMode,
     complement,
+    decreasing_runs,
     face_from_perm,
-    inversions_between,
     lowest_matchable,
     merge_blocks,
     perm_from_face,
@@ -88,109 +87,6 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
     if g is None:
         return None
     return face_from_perm(complement(perm_from_face(g)))
-
-
-# -- direct mirrored implementation, used as a cross-check oracle ------------
-#
-# The mirrored world reverses the value order: words run n+1, a_1..a_n, 0,
-# blocks are maximal decreasing runs, a bar needs its left block to end below
-# the right block's start (an ascent), and "inversion" means an increasing
-# pair across blocks.  Everything below is the image of the primal rules
-# under v -> n+1-v.
-
-
-def _desc_runs(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    runs: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, len(word)):
-        if word[i - 1] < word[i]:
-            runs.append(tuple(word[start:i]))
-            start = i
-    runs.append(tuple(word[start:]))
-    return tuple(runs)
-
-
-def _anti_inversions(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(1 for x in a for y in b if x < y)
-
-
-def _s_count_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> int:
-    prev = blocks[i]
-    seen_min = None
-    count = 0
-    for cand in blocks[i + 1:]:
-        if len(cand) != 2:
-            break
-        if _anti_inversions(prev, cand) != 1:
-            break
-        if seen_min is not None and seen_min < cand[0]:
-            break
-        count += 1
-        low = prev[-1]
-        seen_min = low if seen_min is None else min(seen_min, low)
-        prev = cand
-    return count
-
-
-def _one_merged_shape_desc(below: tuple[int, ...] | None, block: tuple[int, ...]) -> bool:
-    if below is None or len(block) < 4 or len(block) % 2:
-        return False
-    return below[-1] < block[0] and below[-1] < block[1]
-
-
-def _classify_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> MatchableType | None:
-    block = blocks[i]
-    below = blocks[i - 1] if i > 0 else None
-    above = blocks[i + 1] if i + 1 < len(blocks) else None
-    if (
-        len(block) == 1
-        and above is not None
-        and len(above) >= 3
-        and len(above) % 2 == 1
-        and _anti_inversions(block, above) == 1
-    ):
-        return MatchableType.ONE_SPLIT
-    if _one_merged_shape_desc(below, block):
-        return MatchableType.ONE_MERGED
-    s = _s_count_desc(blocks, i)
-    if len(block) >= 4 and s % 2 == 0:
-        return MatchableType.TWO_MERGED
-    if (
-        len(block) >= 2
-        and s % 2 == 1
-        and above is not None
-        and _anti_inversions(block, above) == 1
-        and not _one_merged_shape_desc(below, tuple(sorted(block + above, reverse=True)))
-    ):
-        return MatchableType.TWO_SPLIT
-    return None
-
-
-def dual_partner_by_runs(f: BarredFace) -> BarredFace | None:
-    """Same map as dual_partner, computed on mirrored words directly."""
-    core = f.word[1:-1]
-    n = f.n
-    blocks = _desc_runs((n + 1,) + core + (0,))
-    for i in range(len(blocks)):
-        kind = _classify_desc(blocks, i)
-        if kind is None:
-            continue
-        block = blocks[i]
-        if kind in _SPLIT_KINDS:
-            merged = tuple(sorted(block + blocks[i + 1], reverse=True))
-            new = blocks[:i] + (merged,) + blocks[i + 2:]
-        elif kind is MatchableType.ONE_MERGED:
-            new = blocks[:i] + ((block[1],), (block[0],) + block[2:]) + blocks[i + 1:]
-        else:
-            m = len(block)
-            new = (
-                blocks[:i]
-                + (block[: m - 3] + (block[m - 2],), (block[m - 3], block[m - 1]))
-                + blocks[i + 1:]
-            )
-        word = tuple(x for b in new for x in b)
-        return face_from_perm(Permutation.from_core(word[1:-1]))
-    return None
 
 
 # -- whole-table matchings ----------------------------------------------------
@@ -258,8 +154,7 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
             continue
         out[face.dim].append(fid)
         if matching.dual:
-            runs = _desc_runs(face.word)
-            if any(len(r) > 3 for r in runs):
+            if any(len(r) > 3 for r in decreasing_runs(perm_from_face(face))):
                 raise AssertionError(f"dual critical face {face} has a decreasing run > 3")
         elif any(len(b) > 3 for b in face.blocks):
             raise AssertionError(f"critical face {face} has a block > 3")

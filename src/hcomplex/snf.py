@@ -1,23 +1,25 @@
-"""Sparse exact elimination over Z and F_p, and Smith normal form.
+"""Sparse exact elimination over Z, and Smith normal form.
 
 Matrices are dicts of rows, each row a dict col -> non-zero int.  The
 elimination clears one pivot at a time, chosen greedily from the shortest
-rows with a fill-minimizing column (Markowitz-style).  Over Z only pivots of
+rows with a fill-minimizing column (Markowitz-style).  Only pivots of
 absolute value 1 are used, so all arithmetic stays integral; rows that run
 out of unit entries are set aside and the survivors form a small residual
-that is finished by a dense reduction.  Over F_p any non-zero pivot works and
-a dense mod-p sweep takes over once the active core is small.
+that is finished by a dense reduction.
 
 Clearing a pivot's column by row operations leaves that column with a single
 non-zero, so dropping the pivot row and column afterwards is a unimodular
 reduction: the invariant factors of the original matrix are those of the
 residual plus one unit per pivot.
+
+Every rank is read off those invariant factors, so there is one elimination
+path.  The rank over Q counts them; by the universal coefficient theorem the
+rank over F_p counts the ones p does not divide.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 Rows = dict[int, dict[int, int]]
 
@@ -37,19 +39,13 @@ def transpose_rows(rows: Rows) -> Rows:
 
 
 class _Eliminator:
-    def __init__(self, rows: Rows, p: int | None, scale_rows: bool, dense_cutoff: int):
-        self.p = p
-        self.scale_rows = scale_rows
-        self.dense_cutoff = dense_cutoff
+    def __init__(self, rows: Rows):
         self.rows: Rows = {}
         self.cols: dict[int, set[int]] = {}
         for i, row in rows.items():
-            if p is not None:
-                row = {j: v % p for j, v in row.items() if v % p}
-            else:
-                row = {j: v for j, v in row.items() if v}
+            row = {j: v for j, v in row.items() if v}
             if row:
-                self.rows[i] = dict(row)
+                self.rows[i] = row
                 for j in row:
                     self.cols.setdefault(j, set()).add(i)
         self.heap = [(len(row), i) for i, row in self.rows.items()]
@@ -59,7 +55,7 @@ class _Eliminator:
     def _pick_col(self, row: dict[int, int]) -> int | None:
         best = None
         for j, v in row.items():
-            if self.p is None and v not in (1, -1):
+            if v not in (1, -1):
                 continue
             key = (len(self.cols[j]), j)
             if best is None or key < best:
@@ -67,19 +63,16 @@ class _Eliminator:
         return None if best is None else best[1]
 
     def _pivot(self, i: int, j: int) -> None:
-        rows, cols, p = self.rows, self.cols, self.p
+        rows, cols = self.rows, self.cols
         prow = rows.pop(i)
         for jj in prow:
             cols[jj].discard(i)
-        v = prow[j]
-        inv = v if p is None else pow(v, -1, p)  # over Z, v is +-1 so 1/v = v
+        v = prow[j]  # +-1, so 1/v = v
         for r in list(cols[j]):
             row = rows[r]
-            m = row[j] * inv if p is None else (row[j] * inv) % p
+            m = row[j] * v
             for jj, vv in prow.items():
                 cur = row.get(jj, 0) - m * vv
-                if p is not None:
-                    cur %= p
                 if cur:
                     if jj not in row:
                         cols[jj].add(r)
@@ -90,32 +83,14 @@ class _Eliminator:
             if not row:
                 del rows[r]
                 continue
-            if self.scale_rows and p is None:
-                g = 0
-                for vv in row.values():
-                    g = gcd(g, vv)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for jj in row:
-                        row[jj] //= g
             heappush(self.heap, (len(row), r))
         del cols[j]
         self.rank += 1
 
     def run(self) -> Rows:
-        """Eliminate until no eligible pivot remains; returns the residual."""
+        """Eliminate until no unit pivot remains; returns the residual."""
         deferred: list[int] = []
         while self.heap:
-            if (
-                self.p is not None
-                and self.dense_cutoff
-                and 0 < len(self.rows) <= self.dense_cutoff
-                and len(self.cols) <= self.dense_cutoff
-            ):
-                self.rank += _dense_rank_mod_p(self.rows, self.p)
-                self.rows = {}
-                return {}
             length, i = heappop(self.heap)
             row = self.rows.get(i)
             if row is None or len(row) != length:
@@ -130,34 +105,6 @@ class _Eliminator:
                     heappush(self.heap, (len(self.rows[d]), d))
             deferred.clear()
         return self.rows
-
-
-def _dense_rank_mod_p(rows: Rows, p: int) -> int:
-    import numpy as np
-
-    col_ids = sorted({j for row in rows.values() for j in row})
-    cmap = {j: k for k, j in enumerate(col_ids)}
-    a = np.zeros((len(rows), len(col_ids)), dtype=np.int64)
-    for k, row in enumerate(rows.values()):
-        for j, v in row.items():
-            a[k, cmap[j]] = v % p
-    r = 0
-    for c in range(a.shape[1]):
-        if r == a.shape[0]:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            a[r + 1 + hit] = (a[r + 1 + hit] - np.outer(below[hit], a[r])) % p
-        r += 1
-    return r
 
 
 def _dense_snf(rows: Rows) -> list[int]:
@@ -243,20 +190,22 @@ def smith_normal_form(rows: Rows) -> tuple[int, ...]:
     >>> smith_normal_form(rows_from_dense([[0, 0], [0, 0]]))
     ()
     """
-    engine = _Eliminator(rows, p=None, scale_rows=False, dense_cutoff=0)
+    engine = _Eliminator(rows)
     residual = engine.run()
     return (1,) * engine.rank + tuple(_dense_snf(residual))
 
 
 def rank_q(rows: Rows) -> int:
-    """Rank over the rationals, exactly (gcd row scaling is allowed here)."""
-    engine = _Eliminator(rows, p=None, scale_rows=True, dense_cutoff=0)
-    residual = engine.run()
-    return engine.rank + sum(1 for d in _dense_snf(residual) if d)
+    """Rank over the rationals: the number of invariant factors.
+
+    >>> rank_q(rows_from_dense([[2, 4], [0, 6]]))
+    2
+    """
+    return len(smith_normal_form(rows))
 
 
-def rank_mod_p(rows: Rows, p: int, dense_cutoff: int = 600) -> int:
-    """Rank over the prime field F_p.
+def rank_mod_p(rows: Rows, p: int) -> int:
+    """Rank over the prime field F_p: the invariant factors p does not divide.
 
     >>> rank_mod_p(rows_from_dense([[2, 4], [0, 6]]), 2)
     0
@@ -265,8 +214,4 @@ def rank_mod_p(rows: Rows, p: int, dense_cutoff: int = 600) -> int:
     >>> rank_mod_p(rows_from_dense([[2, 4], [0, 6]]), 5)
     2
     """
-    engine = _Eliminator(rows, p=p, scale_rows=False, dense_cutoff=dense_cutoff)
-    leftover = engine.run()
-    if leftover:
-        raise AssertionError("mod-p elimination left uneliminated rows")
-    return engine.rank
+    return sum(1 for d in smith_normal_form(rows) if d % p)

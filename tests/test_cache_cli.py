@@ -131,6 +131,18 @@ def test_cli_budget_exit_codes(capsys):
     assert "unsafe-budget" in err
 
 
+def test_cli_witness_ceiling_exits_2_before_any_work(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the ceiling must stop the run before any witness work")
+
+    # 2^41 terms must never be asked for
+    monkeypatch.setattr("hcomplex.cli.verify_witness", never)
+    monkeypatch.setattr("hcomplex.cli.witness_payload", never)
+    assert main(["witness", "--n", "100", "--k", "40", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "witness ceiling" in err and "unsafe-budget" in err
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

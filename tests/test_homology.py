@@ -146,12 +146,8 @@ def test_expected_window_matches_inequalities():
 def test_conjecture_window(table):
     for n in range(1, 7):
         check = check_conjecture(table(n))
-        assert check.ok and check.method == "snf"
+        assert check.ok
         assert check.observed == tuple(sorted(expected_nonzero_dims(n)))
-        ranks = check_conjecture(table(n), method="ranks")
-        assert ranks.ok and ranks.observed == check.observed
-    with pytest.raises(ValueError):
-        check_conjecture(table(3), method="magic")
 
 
 def test_rank_detection_equals_smith_form(table):

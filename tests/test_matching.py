@@ -7,7 +7,6 @@ from hcomplex.matching import (
     build_matching,
     critical_faces,
     dual_partner,
-    dual_partner_by_runs,
     partner,
     verify_well_defined,
 )
@@ -25,6 +24,109 @@ PAIRED = {
     MatchableType.TWO_MERGED: MatchableType.TWO_SPLIT,
     MatchableType.TWO_SPLIT: MatchableType.TWO_MERGED,
 }
+
+
+# -- the dual matching computed directly on mirrored words: an oracle --------
+#
+# The mirrored world reverses the value order: words run n+1, a_1..a_n, 0,
+# blocks are maximal decreasing runs, a bar needs its left block to end below
+# the right block's start (an ascent), and "inversion" means an increasing
+# pair across blocks.  Everything below is the image of the primal rules
+# under v -> n+1-v.
+
+
+def _desc_runs(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    runs: list[tuple[int, ...]] = []
+    start = 0
+    for i in range(1, len(word)):
+        if word[i - 1] < word[i]:
+            runs.append(tuple(word[start:i]))
+            start = i
+    runs.append(tuple(word[start:]))
+    return tuple(runs)
+
+
+def _anti_inversions(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(1 for x in a for y in b if x < y)
+
+
+def _s_count_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> int:
+    prev = blocks[i]
+    seen_min = None
+    count = 0
+    for cand in blocks[i + 1:]:
+        if len(cand) != 2:
+            break
+        if _anti_inversions(prev, cand) != 1:
+            break
+        if seen_min is not None and seen_min < cand[0]:
+            break
+        count += 1
+        low = prev[-1]
+        seen_min = low if seen_min is None else min(seen_min, low)
+        prev = cand
+    return count
+
+
+def _one_merged_shape_desc(below: tuple[int, ...] | None, block: tuple[int, ...]) -> bool:
+    if below is None or len(block) < 4 or len(block) % 2:
+        return False
+    return below[-1] < block[0] and below[-1] < block[1]
+
+
+def _classify_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> MatchableType | None:
+    block = blocks[i]
+    below = blocks[i - 1] if i > 0 else None
+    above = blocks[i + 1] if i + 1 < len(blocks) else None
+    if (
+        len(block) == 1
+        and above is not None
+        and len(above) >= 3
+        and len(above) % 2 == 1
+        and _anti_inversions(block, above) == 1
+    ):
+        return MatchableType.ONE_SPLIT
+    if _one_merged_shape_desc(below, block):
+        return MatchableType.ONE_MERGED
+    s = _s_count_desc(blocks, i)
+    if len(block) >= 4 and s % 2 == 0:
+        return MatchableType.TWO_MERGED
+    if (
+        len(block) >= 2
+        and s % 2 == 1
+        and above is not None
+        and _anti_inversions(block, above) == 1
+        and not _one_merged_shape_desc(below, tuple(sorted(block + above, reverse=True)))
+    ):
+        return MatchableType.TWO_SPLIT
+    return None
+
+
+def dual_partner_by_runs(f: BarredFace) -> BarredFace | None:
+    """Same map as dual_partner, computed on mirrored words directly."""
+    core = f.word[1:-1]
+    n = f.n
+    blocks = _desc_runs((n + 1,) + core + (0,))
+    for i in range(len(blocks)):
+        kind = _classify_desc(blocks, i)
+        if kind is None:
+            continue
+        block = blocks[i]
+        if kind in (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT):
+            merged = tuple(sorted(block + blocks[i + 1], reverse=True))
+            new = blocks[:i] + (merged,) + blocks[i + 2:]
+        elif kind is MatchableType.ONE_MERGED:
+            new = blocks[:i] + ((block[1],), (block[0],) + block[2:]) + blocks[i + 1:]
+        else:
+            m = len(block)
+            new = (
+                blocks[:i]
+                + (block[: m - 3] + (block[m - 2],), (block[m - 3], block[m - 1]))
+                + blocks[i + 1:]
+            )
+        word = tuple(x for b in new for x in b)
+        return face_from_perm(Permutation.from_core(word[1:-1]))
+    return None
 
 
 def test_partner_frozen_examples():

@@ -1,7 +1,6 @@
 """Verdicts do not rest on `assert` statements, which `python -O` strips."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +18,11 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_report_is_the_same_under_python_O():
-    env = {k: v for k, v in os.environ.items() if k != "HCOMPLEX_CACHE_DIR"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+def test_report_is_the_same_under_python_O(subprocess_env):
     argv = ["-m", "hcomplex.cli", "report", "--n-max", "6", "--no-cache"]
     plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
-                       text=True, timeout=300)
+        subprocess.run([sys.executable, *flags, *argv], env=subprocess_env,
+                       capture_output=True, text=True, timeout=300)
         for flags in ([], ["-O"])
     )
     assert plain.returncode == 0 and "PASS" in plain.stdout, plain.stderr
