@@ -35,6 +35,7 @@ from .homology import (
     check_betti_symmetry,
     check_conjecture,
     expected_nonzero_dims,
+    invariant_factors,
     nonzero_dims_over_z,
     nonzero_dims_via_ranks,
 )

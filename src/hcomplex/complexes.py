@@ -63,6 +63,7 @@ class FaceTable:
     _covers: list[list[int]] | None = field(default=None, repr=False)
     _has_parent: list[bool] | None = field(default=None, repr=False)
     _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
+    _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.faces)

@@ -12,10 +12,11 @@ Reduced homology is read off the Smith normal form of the boundary matrices,
     betti~_d = f_d - rank d_d - rank d_{d+1},
     torsion of H~_d = invariant factors > 1 of d_{d+1},
 
-exactly over Z.  Ranks over the other coefficients come from the same
-invariant factors by the universal coefficient theorem: rank_Q counts them
-and rank_p counts those p does not divide, so H~_d has p-torsion exactly
-when rank_p d_{d+1} < rank_Q d_{d+1}.
+exactly over Z.  Each boundary's invariant factors are computed once per
+face table (``invariant_factors``) and every coefficient ring reads the same
+tuple, by the universal coefficient theorem: rank_Q counts the factors and
+rank_p counts those p does not divide, so H~_d has p-torsion exactly when
+rank_p d_{d+1} < rank_Q d_{d+1}.
 
 >>> t = enumerate_faces(3)
 >>> betti_table(t).betti
@@ -81,6 +82,21 @@ def _tall(bm: BoundaryMatrix) -> Rows:
     return bm.rows if bm.n_rows >= bm.n_cols else transpose_rows(bm.rows)
 
 
+def invariant_factors(table: FaceTable, dim: int) -> tuple[int, ...]:
+    """Non-zero invariant factors of d_dim, one Smith form per face table.
+
+    >>> t = enumerate_faces(4)
+    >>> invariant_factors(t, 1)  # rank 8 over every ring, no torsion
+    (1, 1, 1, 1, 1, 1, 1, 1)
+    >>> invariant_factors(t, 1) is invariant_factors(t, 1)  # memoized
+    True
+    """
+    memo = table._invariants
+    if dim not in memo:
+        memo[dim] = smith_normal_form(_tall(boundary_matrix(table, dim)))
+    return memo[dim]
+
+
 @dataclass(frozen=True, slots=True)
 class BettiTable:
     n: int
@@ -109,17 +125,16 @@ def betti_table(table: FaceTable, coefficients: str = "Z") -> BettiTable:
     torsion: dict[int, tuple[int, ...]] = {}
     p = _FIELD_CHAR.get(coefficients)
     for d in range(0, n - 1):
-        rows = _tall(boundary_matrix(table, d))
+        invariants = invariant_factors(table, d)
         if coefficients == "Z":
-            invariants = smith_normal_form(rows)
             ranks[d] = len(invariants)
             bad = tuple(v for v in invariants if v > 1)
             if bad:
                 torsion[d - 1] = bad
         elif coefficients == "Q":
-            ranks[d] = rank_q(rows)
+            ranks[d] = rank_q(invariants)
         else:
-            ranks[d] = rank_mod_p(rows, p)
+            ranks[d] = rank_mod_p(invariants, p)
     betti = {
         d: f[d] - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(-1, n - 1)
     }
@@ -153,17 +168,22 @@ def nonzero_dims_via_ranks(
 
     Free parts come from rational Betti numbers; p-torsion in H~_d shows up
     as a rank drop of d_{d+1} from Q to F_p.  Detection covers the listed
-    primes, which is what the larger cases are checked with.
+    primes, which is what the larger cases are checked with.  All the ranks
+    are counts over the shared ``invariant_factors``, so this adds no
+    elimination to a ``betti_table`` call on the same table.
+
+    >>> sorted(nonzero_dims_via_ranks(enumerate_faces(5)))
+    [1]
     """
     n = table.n
     f = {d: len(table.ids_by_dim().get(d, [])) for d in range(-1, n - 1)}
     rq: dict[int, int] = {}
     rp: dict[int, dict[int, int]] = {p: {} for p in primes}
     for d in range(0, n - 1):
-        rows = _tall(boundary_matrix(table, d))
-        rq[d] = rank_q(rows)
+        invariants = invariant_factors(table, d)
+        rq[d] = rank_q(invariants)
         for p in primes:
-            rp[p][d] = rank_mod_p(rows, p)
+            rp[p][d] = rank_mod_p(invariants, p)
     out = set()
     for d in range(-1, n - 1):
         free = f[d] - rq.get(d, 0) - rq.get(d + 1, 0)

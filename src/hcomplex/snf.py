@@ -13,8 +13,10 @@ reduction: the invariant factors of the original matrix are those of the
 residual plus one unit per pivot.
 
 Every rank is read off those invariant factors, so there is one elimination
-path.  The rank over Q counts them; by the universal coefficient theorem the
-rank over F_p counts the ones p does not divide.
+path: ``rank_q`` and ``rank_mod_p`` take the factor tuple that
+``smith_normal_form`` returns and eliminate nothing themselves.  The rank
+over Q counts the factors; by the universal coefficient theorem the rank
+over F_p counts the ones p does not divide.
 """
 
 from __future__ import annotations
@@ -195,23 +197,28 @@ def smith_normal_form(rows: Rows) -> tuple[int, ...]:
     return (1,) * engine.rank + tuple(_dense_snf(residual))
 
 
-def rank_q(rows: Rows) -> int:
-    """Rank over the rationals: the number of invariant factors.
+def rank_q(invariants: tuple[int, ...]) -> int:
+    """Rank over the rationals, given the invariant factors: their number.
 
-    >>> rank_q(rows_from_dense([[2, 4], [0, 6]]))
+    >>> rank_q(smith_normal_form(rows_from_dense([[2, 4], [0, 6]])))
     2
-    """
-    return len(smith_normal_form(rows))
-
-
-def rank_mod_p(rows: Rows, p: int) -> int:
-    """Rank over the prime field F_p: the invariant factors p does not divide.
-
-    >>> rank_mod_p(rows_from_dense([[2, 4], [0, 6]]), 2)
+    >>> rank_q(())
     0
-    >>> rank_mod_p(rows_from_dense([[2, 4], [0, 6]]), 3)  # 6 = 0 mod 3
+    """
+    return len(invariants)
+
+
+def rank_mod_p(invariants: tuple[int, ...], p: int) -> int:
+    """Rank over the prime field F_p, given the invariant factors.
+
+    By the universal coefficient theorem it counts the factors p does not
+    divide.
+
+    >>> rank_mod_p((2, 6), 2)
+    0
+    >>> rank_mod_p((2, 6), 3)  # 6 = 0 mod 3
     1
-    >>> rank_mod_p(rows_from_dense([[2, 4], [0, 6]]), 5)
+    >>> rank_mod_p((2, 6), 5)
     2
     """
-    return sum(1 for d in smith_normal_form(rows) if d % p)
+    return sum(1 for d in invariants if d % p)

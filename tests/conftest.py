@@ -41,3 +41,31 @@ def subprocess_env():
     env = {k: v for k, v in os.environ.items() if k != "HCOMPLEX_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def _gauss_rank_mod_p(dense, p):
+    m = [[v % p for v in row] for row in dense]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                m[rank], m[r] = m[r], m[rank]
+                inv = pow(m[rank][col], -1, p)
+                m[rank] = [v * inv % p for v in m[rank]]
+                for other in range(len(m)):
+                    if other != rank and m[other][col]:
+                        c = m[other][col]
+                        m[other] = [(a - c * b) % p for a, b in zip(m[other], m[rank])]
+                rank += 1
+                break
+    return rank
+
+
+@pytest.fixture(scope="session")
+def gauss_rank_mod_p():
+    """Rank of a dense integer matrix over F_p by Gauss elimination mod p.
+
+    An oracle that shares no code with the Smith form.
+    """
+    return _gauss_rank_mod_p

@@ -209,3 +209,17 @@ def test_cli_self_heals_corrupted_cache(tmp_path, capsys):
     (healed,) = tmp_path.glob("morse-primal-n4-*.json")
     assert healed.name == path.name  # content-addressed: same payload, same name
     assert json.loads(healed.read_text())["m"]["1"] == 6
+
+
+def test_cli_report_never_reads_betti_from_cache(tmp_path, capsys, table):
+    # chi = 0 at n = 4, so this entry passes the spot-check with every Betti
+    # number wrong; the verdict must come from a fresh computation
+    tampered = {"n": 4, "coeff": "Z", "betti": [0, 0, 0, 0], "torsion": []}
+    cache_store(tmp_path, "betti-Z", 4, tampered)
+    assert cache_load(tmp_path, "betti-Z", 4) == tampered
+    assert main(["report", "--n-max", "4", "--no-cache"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["report", "--n-max", "4", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == fresh
+    # the row still stores its table, so `hcomplex homology` finds it warm
+    assert cache_load(tmp_path, "betti-Z", 4) == betti_payload(betti_table(table(4)))

@@ -3,7 +3,8 @@
 import pytest
 import sympy
 
-from hcomplex.complexes import alternating_eulerian
+import hcomplex.homology
+from hcomplex.complexes import alternating_eulerian, enumerate_faces
 from hcomplex.homology import (
     COEFFICIENTS,
     SignedChain,
@@ -121,6 +122,43 @@ def test_betti_against_sympy_ranks(table):
         for d in range(-1, n - 1):
             expected = f[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
             assert bt.betti[d] == expected
+
+
+def test_field_betti_against_dense_gauss(table, gauss_rank_mod_p):
+    # independent of the shared Smith forms: ranks by Gauss mod p per boundary
+    for n in range(1, 6):
+        t = table(n)
+        f = {d: len(ids) for d, ids in t.ids_by_dim().items()}
+        for p in (2, 3, 5):
+            ranks = {
+                d: gauss_rank_mod_p(dense(boundary_matrix(t, d)), p)
+                for d in range(0, n - 1)
+            }
+            bt = betti_table(t, f"F{p}")
+            for d in range(-1, n - 1):
+                expected = f[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
+                assert bt.betti[d] == expected, (n, p, d)
+
+
+def test_one_smith_form_per_boundary(monkeypatch):
+    calls = {"smith_normal_form": 0, "boundary_matrix": 0}
+
+    def counting(name):
+        original = getattr(hcomplex.homology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hcomplex.homology, name, counting(name))
+    t = enumerate_faces(6)  # fresh: the session tables may hold factors already
+    for c in COEFFICIENTS:
+        betti_table(t, c)
+    nonzero_dims_via_ranks(t)
+    assert calls == {"smith_normal_form": 5, "boundary_matrix": 5}  # dims 0..4
 
 
 def test_euler_characteristic_from_betti(table):
