@@ -41,6 +41,6 @@ for n, k in admissible_pairs(8):
 big = verify_witness(12, 3)
 print(f"\n(n=12, k=3) without enumeration: ok={big.ok}, {big.term_count} terms")
 
-# a JSON-ready payload, stable under re-runs (used by the CLI and cache)
+# a JSON-ready payload, stable under re-runs (what `hcomplex witness` prints)
 payload = witness_payload(5, 1)
 print(f"payload: free face {payload['freeFace']}, terms {payload['terms']}")

@@ -7,8 +7,9 @@ Exit codes: 0 when everything checks out, 1 when a verification is falsified,
 Hard ceilings keep accidental big runs out: enumeration and matching stop at
 n = 9, homology and the aggregate reports at n = 8, and cycle witnesses
 (2^(k+1) terms) at k = 10.  ``--unsafe-budget`` lifts them.  Artifacts go
-to stdout or ``--out``; when a cache directory is configured (flag first,
-HCOMPLEX_CACHE_DIR otherwise) verified payloads are reused and stored there.
+to stdout or ``--out``.  Every command prints only what it has just computed
+and verified; nothing is read back from disk, and ``--out`` is the only file
+written.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .cache import cache_load, cache_store, resolve_cache_dir
 from .complexes import ENUM_CEILING, BudgetExceededError, FaceTable, enumerate_faces
 from .homology import COEFFICIENTS, betti_table
 from .matching import build_matching, verify_well_defined
@@ -68,22 +68,6 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cached(
-    args: argparse.Namespace, kind: str, n: int, build: Callable[[], dict]
-) -> dict:
-    directory = None if args.no_cache else resolve_cache_dir(args.cache_dir)
-    if directory is not None:
-        payload = cache_load(directory, kind, n)
-        if payload is not None:
-            _note(args, f"cache hit: {kind} n={n}")
-            return payload
-    payload = build()
-    if directory is not None:
-        cache_store(directory, kind, n, payload)
-        _note(args, f"cache store: {kind} n={n}")
-    return payload
-
-
 def _table(args: argparse.Namespace, n: int) -> FaceTable:
     start = time.monotonic()
     table = enumerate_faces(n, max_n=n)
@@ -93,41 +77,29 @@ def _table(args: argparse.Namespace, n: int) -> FaceTable:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
-    payload = _cached(args, "faces", args.n, lambda: face_table_payload(_table(args, args.n)))
-    _emit(_json(payload), args.out)
+    _emit(_json(face_table_payload(_table(args, args.n))), args.out)
     return 0
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
     _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
-    side = "dual" if args.dual else "primal"
-
-    def build() -> dict:
-        table = _table(args, args.n)
-        matching = build_matching(table, dual=args.dual)
-        report = verify_well_defined(table, matching)
-        if not report.ok:
-            raise Falsification(f"matching not well defined: {report.violations[:3]}")
-        return matching_payload(table, matching)
-
-    payload = _cached(args, f"matching-{side}", args.n, build)
-    _emit(_json(payload), args.out)
+    table = _table(args, args.n)
+    matching = build_matching(table, dual=args.dual)
+    report = verify_well_defined(table, matching)
+    if not report.ok:
+        raise Falsification(f"matching not well defined: {report.violations[:3]}")
+    _emit(_json(matching_payload(table, matching)), args.out)
     return 0
 
 
 def _cmd_morse(args: argparse.Namespace) -> int:
     _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
-    side = "dual" if args.dual else "primal"
-
-    def build() -> dict:
-        table = _table(args, args.n)
-        matching = build_matching(table, dual=args.dual)
-        thresholds = check_thresholds(morse_numbers(table, matching))
-        if not thresholds.ok:
-            raise Falsification(f"Morse numbers violate thresholds: {thresholds}")
-        return morse_payload(table, matching)
-
-    payload = _cached(args, f"morse-{side}", args.n, build)
+    table = _table(args, args.n)
+    matching = build_matching(table, dual=args.dual)
+    thresholds = check_thresholds(morse_numbers(table, matching))
+    if not thresholds.ok:
+        raise Falsification(f"Morse numbers violate thresholds: {thresholds}")
+    payload = morse_payload(table, matching)
     if not payload["acyclic"]:
         print("falsified: matching digraph has a directed cycle", file=sys.stderr)
         return 1
@@ -140,12 +112,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
         args.unsafe_budget or args.n <= HOMOLOGY_CEILING,
         f"n={args.n} exceeds homology ceiling n<={HOMOLOGY_CEILING}",
     )
-    payload = _cached(
-        args,
-        f"betti-{args.coefficients}",
-        args.n,
-        lambda: betti_payload(betti_table(_table(args, args.n), args.coefficients)),
-    )
+    payload = betti_payload(betti_table(_table(args, args.n), args.coefficients))
     _emit(render_betti_csv(payload) if args.format == "csv" else _json(payload), args.out)
     return 0
 
@@ -159,8 +126,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if not report.ok:
         print(f"falsified: witness checks {report.checks}", file=sys.stderr)
         return 1
-    payload = _cached(args, f"witness-k{args.k}", args.n, lambda: witness_payload(args.n, args.k))
-    _emit(_json(payload), args.out)
+    _emit(_json(witness_payload(args.n, args.k)), args.out)
     return 0
 
 
@@ -169,14 +135,13 @@ def _run_report(args: argparse.Namespace, fmt: str) -> int:
         args.unsafe_budget or args.n_max <= HOMOLOGY_CEILING,
         f"n-max={args.n_max} exceeds homology ceiling n<={HOMOLOGY_CEILING}",
     )
-    directory = None if args.no_cache else resolve_cache_dir(args.cache_dir)
     start = time.monotonic()
     rows = []
     for n in range(1, args.n_max + 1):
         if args.time_budget and time.monotonic() - start > args.time_budget:
             print(f"error: time budget exceeded before n={n}", file=sys.stderr)
             return 2
-        rows.append(conjecture_row(n, directory))
+        rows.append(conjecture_row(n))
         _note(args, f"n={n}: {rows[-1].verdict} ({time.monotonic()-start:.1f}s elapsed)")
     report = ConjectureReport(tuple(rows))
     _emit(render_report(report, fmt), args.out)
@@ -208,8 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--n", type=int, required=True, help="number of letters")
         sp.add_argument("--out", help="write the artifact here instead of stdout")
-        sp.add_argument("--cache-dir", help="cache directory (else HCOMPLEX_CACHE_DIR)")
-        sp.add_argument("--no-cache", action="store_true", help="disable the cache")
+        sp.add_argument(
+            "--no-cache", action="store_true",
+            help="accepted for old scripts; has no effect (nothing is cached)",
+        )
         sp.add_argument("--unsafe-budget", action="store_true", help="lift size ceilings")
         sp.add_argument(
             "-v", "--verbose", action="count", default=argparse.SUPPRESS,

@@ -44,15 +44,6 @@ def _check_budget(n: int, max_n: int | None, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CoverEdge:
-    """A codimension-1 containment: erasing bar bar_index of upper gives lower."""
-
-    upper: int
-    lower: int
-    bar_index: int
-
-
 @dataclass
 class FaceTable:
     """All faces for one n, ids in lexicographic order of the permutation."""
@@ -81,7 +72,7 @@ class FaceTable:
         [[], [0], [0], [0], [0], [3, 4]]
         """
         if self._covers is None:
-            self._covers = [[e.lower for e in covers_down(self, f)] for f in self.faces]
+            self._covers = [covers_down(self, f) for f in self.faces]
         return self._covers
 
     def ids_by_dim(self) -> dict[int, list[int]]:
@@ -121,25 +112,24 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     return FaceTable(n, faces, id_of_core)
 
 
-def covers_down(table: FaceTable, f: BarredFace) -> list[CoverEdge]:
-    """All faces covered by f: one bar erased each.
+def covers_down(table: FaceTable, f: BarredFace) -> list[int]:
+    """The ids of the faces covered by f, in bar order: entry i erases bar i.
 
     Erasing a bar sorts the two runs of the word it separates into one; the
     sorted word is looked up in the table.  Raises ValueError unless the face
     found there has exactly one block fewer than f.
 
     >>> t = enumerate_faces(3)
-    >>> [(e.lower, e.bar_index) for e in covers_down(t, t.faces[5])]
-    [(3, 0), (4, 1)]
+    >>> covers_down(t, t.faces[5])
+    [3, 4]
     """
     core = f.word[1:-1]
     ids, faces = table.id_of_core, table.faces
-    fid = ids[core]
     bars = len(f.blocks) - 1  # also the block count of every face below
     # ends[i]: word position just past block i, so core position just past
     # block i is ends[i] - 1 (slicing clamps the last block's end)
     ends = list(itertools.accumulate(map(len, f.blocks)))
-    edges = []
+    lowers = []
     for bar in range(bars):
         lo = ends[bar - 1] - 1 if bar else 0
         hi = ends[bar + 1] - 1
@@ -149,8 +139,8 @@ def covers_down(table: FaceTable, f: BarredFace) -> list[CoverEdge]:
                 f"erasing bar {bar} of {f!r} gives {faces[lower]!r}, "
                 "not a face with one block fewer"
             )
-        edges.append(CoverEdge(fid, lower, bar))
-    return edges
+        lowers.append(lower)
+    return lowers
 
 
 def is_free_face(table: FaceTable, f: BarredFace) -> bool:

@@ -8,9 +8,8 @@ table.  Homology costs one Smith form per boundary: through n = 7 the
 non-vanishing dimensions are read over Z, beyond it from the ranks over Q
 and F2, F3, F5, all counted off the same invariant factors.  The verdict is
 PASS only if all of it holds and the observed non-vanishing dimensions equal
-the predicted middle third.  A row is always computed; with a cache directory
-its Betti table is stored for ``hcomplex homology`` but never read back, so
-no cache entry can decide a verdict.
+the predicted middle third.  Every row is computed afresh; nothing is read
+from or written to disk.
 
 All payload builders emit deterministically ordered structures, so identical
 inputs give byte-identical serializations.
@@ -20,9 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .cache import cache_store
 from .complexes import FaceTable, enumerate_faces
 from .homology import (
     BettiTable,
@@ -137,9 +134,7 @@ def _matching_side_ok(table: FaceTable, matching: MatchingMap) -> tuple[bool, bo
     return report.ok and thresholds.ok, cert.acyclic and verify_certificate(g, cert)
 
 
-def conjecture_row(
-    n: int, cache_dir: Path | None = None, table: FaceTable | None = None
-) -> ConjectureRow:
+def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     """Run every verification for one n.
 
     >>> conjecture_row(3)  # doctest: +NORMALIZE_WHITESPACE
@@ -157,8 +152,6 @@ def conjecture_row(
     else:
         bt = betti_table(table, "Q")
         observed = nonzero_dims_via_ranks(table)
-    if cache_dir is not None:
-        cache_store(cache_dir, f"betti-{bt.coefficients}", n, betti_payload(bt))
     witness_ok = all(
         verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
     )
@@ -174,12 +167,8 @@ def conjecture_row(
     )
 
 
-def build_conjecture_report(
-    n_max: int, cache_dir: Path | None = None
-) -> ConjectureReport:
-    return ConjectureReport(
-        tuple(conjecture_row(n, cache_dir) for n in range(1, n_max + 1))
-    )
+def build_conjecture_report(n_max: int) -> ConjectureReport:
+    return ConjectureReport(tuple(conjecture_row(n) for n in range(1, n_max + 1)))
 
 
 def conjecture_payload(report: ConjectureReport) -> dict:

@@ -37,8 +37,8 @@ def matching(table):
 
 @pytest.fixture(scope="session")
 def subprocess_env():
-    """Environment for a child interpreter that imports this checkout, uncached."""
-    env = {k: v for k, v in os.environ.items() if k != "HCOMPLEX_CACHE_DIR"}
+    """Environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
 

@@ -6,7 +6,6 @@ import pytest
 
 import hcomplex
 from hcomplex import (
-    cache,
     cli,
     complexes,
     homology,
@@ -20,7 +19,6 @@ from hcomplex import (
 
 MODULES = [
     hcomplex,
-    cache,
     cli,
     complexes,
     homology,
@@ -37,5 +35,5 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
-    if module not in (cache, cli):  # pure plumbing keeps no examples
+    if module is not cli:  # pure plumbing keeps no examples
         assert result.attempted > 0

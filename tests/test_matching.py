@@ -2,6 +2,9 @@
 
 from math import factorial
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hcomplex.complexes import enumerate_faces
 from hcomplex.matching import (
     build_matching,
@@ -14,8 +17,10 @@ from hcomplex.perms import (
     BarredFace,
     MatchableType,
     Permutation,
+    complement,
     face_from_perm,
     lowest_matchable,
+    perm_from_face,
 )
 
 PAIRED = {
@@ -137,19 +142,58 @@ def test_partner_frozen_examples():
     assert partner(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
 
 
+def one_adjacent_swap_apart(v, w):
+    diff = [i for i in range(len(v)) if v[i] != w[i]]
+    if len(diff) != 2 or diff[1] != diff[0] + 1:
+        return False
+    i, j = diff
+    return (v[i], v[j]) == (w[j], w[i])
+
+
+def complemented(f):
+    return face_from_perm(complement(perm_from_face(f)))
+
+
+def assert_local_match(f, g, match, structure):
+    """The matching properties of f <-> g that need no face table."""
+    assert match(g) == f
+    assert abs(g.dim - f.dim) == 1
+    lower, upper = (f, g) if f.dim < g.dim else (g, f)
+    assert set(lower.chain()) < set(upper.chain())
+    df, dg = lowest_matchable(structure(f)), lowest_matchable(structure(g))
+    assert df.start_rank == dg.start_rank
+    assert PAIRED[df.kind] is dg.kind
+    assert one_adjacent_swap_apart(f.word, g.word)
+
+
 def test_partner_is_a_cover_involution_with_shared_rank(table):
     for n in range(1, 7):
         for f in table(n).faces:
             g = partner(f)
-            if g is None:
-                continue
-            assert partner(g) == f
-            assert abs(g.dim - f.dim) == 1
-            lower, upper = (f, g) if f.dim < g.dim else (g, f)
-            assert set(lower.chain()) < set(upper.chain())
-            df, dg = lowest_matchable(f), lowest_matchable(g)
-            assert df.start_rank == dg.start_rank
-            assert PAIRED[df.kind] is dg.kind
+            if g is not None:
+                assert_local_match(f, g, partner, lambda h: h)
+
+
+# n = 10..30 is beyond enumeration: partner is local, so no table is needed
+BIG_PERMUTATIONS = st.integers(10, 30).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(BIG_PERMUTATIONS)
+def test_partner_properties_beyond_enumeration(core):
+    f = face_from_perm(Permutation.from_core(core))
+    g = partner(f)
+    if g is not None:
+        assert_local_match(f, g, partner, lambda h: h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BIG_PERMUTATIONS)
+def test_dual_partner_properties_beyond_enumeration(core):
+    f = face_from_perm(Permutation.from_core(core))
+    g = dual_partner(f)
+    if g is not None:
+        assert_local_match(f, g, dual_partner, complemented)
 
 
 def test_whole_table_matchings_verify(table, matching):
