@@ -24,11 +24,11 @@ from typing import Sequence
 from .complexes import ENUM_CEILING, BudgetExceededError, FaceTable, enumerate_faces
 from .homology import COEFFICIENTS, betti_table
 from .matching import build_matching, verify_well_defined
-from .morse import check_thresholds, morse_numbers
 from .reports import (
     RENDER_FORMATS,
     ConjectureReport,
     betti_payload,
+    check_matching_side,
     conjecture_row,
     face_table_payload,
     matching_payload,
@@ -37,7 +37,7 @@ from .reports import (
     render_morse_csv,
     render_report,
 )
-from .witnesses import verify_witness, witness_payload
+from .witnesses import verify_witness
 
 HOMOLOGY_CEILING = 8
 WITNESS_CEILING = 10
@@ -95,14 +95,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
 def _cmd_morse(args: argparse.Namespace) -> int:
     _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
     table = _table(args, args.n)
-    matching = build_matching(table, dual=args.dual)
-    thresholds = check_thresholds(morse_numbers(table, matching))
-    if not thresholds.ok:
-        raise Falsification(f"Morse numbers violate thresholds: {thresholds}")
-    payload = morse_payload(table, matching)
-    if not payload["acyclic"]:
-        print("falsified: matching digraph has a directed cycle", file=sys.stderr)
-        return 1
+    side = check_matching_side(table, build_matching(table, dual=args.dual))
+    if side.violations:
+        raise Falsification(f"matching or Morse numbers: {side.violations[:3]}")
+    if not side.acyclic:
+        raise Falsification("matching digraph not certified acyclic")
+    payload = morse_payload(side)
     _emit(render_morse_csv(payload) if args.format == "csv" else _json(payload), args.out)
     return 0
 
@@ -124,9 +122,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     )
     report = verify_witness(args.n, args.k)
     if not report.ok:
-        print(f"falsified: witness checks {report.checks}", file=sys.stderr)
-        return 1
-    _emit(_json(witness_payload(args.n, args.k)), args.out)
+        raise Falsification(f"witness checks {report.checks}")
+    _emit(_json(report.payload()), args.out)
     return 0
 
 

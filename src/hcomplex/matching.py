@@ -1,15 +1,15 @@
 """Greedy interval matching on the face table, and its order-reversed dual.
 
-Each non-critical face is paired through its lowest matchable block: split
-types merge the block with the one above, merged types split it, and the two
-moves are mutually inverse.  Matched faces differ by erasing or inserting one
-chain element, and their permutations differ by one adjacent transposition.
+Each non-critical face is paired through its lowest matchable block by
+swapping two adjacent letters of its word: split types swap the pair across
+the bar above the block, erasing that bar; merged types swap a pair inside
+the block, inserting one.  The bars either side of the pair keep their
+state, so matched faces are a cover pair and the moves are mutually inverse.
 
 The dual matching applies the same rules to the order-reversed structure
-(maximal decreasing runs, bars at ascents).  It is implemented by complement
-conjugation: complement the permutation letters (a_i -> n+1-a_i), match, and
-complement back.  Dual critical faces are checked on the same structure:
-``critical_faces`` reads their decreasing runs with ``perms.decreasing_runs``.
+(maximal decreasing runs, bars at ascents): the complemented face
+(a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
+word.  ``critical_faces`` reads dual critical faces by their decreasing runs.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from .perms import (
     BarredFace,
     IntervalDiagnosis,
     MatchableType,
-    SplitMode,
+    blocks_of_word,
     complement,
     decreasing_runs,
     face_from_perm,
     lowest_matchable,
-    merge_blocks,
     perm_from_face,
-    split_block,
 )
 
 _SPLIT_KINDS = (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT)
@@ -50,6 +48,28 @@ def _is_adjacent_swap(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
     )
 
 
+def _swap(f: BarredFace, probe: BarredFace, diag: IntervalDiagnosis) -> BarredFace:
+    """The face of f's word with letters p, p+1 swapped, p read off the
+    diagnosis of probe (f, or its complement for the dual).  The bar at rank
+    p+1 toggles; raises AssertionError unless the sentinels stay put and the
+    bars at ranks p and p+2 keep their state."""
+    p = diag.start_rank if diag.block_index else 0  # the block's first letter
+    m = len(probe.blocks[diag.block_index])
+    if diag.kind in _SPLIT_KINDS:
+        p += m - 1  # the pair across the bar above the block
+    elif diag.kind is MatchableType.TWO_MERGED:
+        p += m - 3  # cut b1 .. b(m-3) b(m-1) | b(m-2) bm; one-merged cuts b2 | b1 b3 ..
+    w = list(f.word)
+    if not (
+        1 <= p < f.n
+        and (w[p - 1] > w[p]) == (w[p - 1] > w[p + 1])
+        and (w[p] > w[p + 2]) == (w[p + 1] > w[p + 2])
+    ):
+        raise AssertionError(f"swapping word positions {p}, {p + 1} of {f} is not a cover move")
+    w[p], w[p + 1] = w[p + 1], w[p]
+    return BarredFace(f.n, blocks_of_word(w))
+
+
 def partner(f: BarredFace) -> BarredFace | None:
     """The matched face, or None when f is critical.
 
@@ -61,18 +81,7 @@ def partner(f: BarredFace) -> BarredFace | None:
     True
     """
     diag = lowest_matchable(f)
-    if diag is None:
-        return None
-    i = diag.block_index
-    if diag.kind in _SPLIT_KINDS:
-        g = merge_blocks(f, i)
-    elif diag.kind is MatchableType.ONE_MERGED:
-        g = split_block(f, i, SplitMode.SINGLETON)
-    else:
-        g = split_block(f, i, SplitMode.PAIR)
-    if not _is_adjacent_swap(f.word, g.word):
-        raise AssertionError(f"match of {f} is {g}, not an adjacent swap")
-    return g
+    return None if diag is None else _swap(f, f, diag)
 
 
 def dual_partner(f: BarredFace) -> BarredFace | None:
@@ -83,10 +92,9 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
     >>> dual_partner(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
     True
     """
-    g = partner(face_from_perm(complement(perm_from_face(f))))
-    if g is None:
-        return None
-    return face_from_perm(complement(perm_from_face(g)))
+    probe = face_from_perm(complement(perm_from_face(f)))
+    diag = lowest_matchable(probe)
+    return None if diag is None else _swap(f, probe, diag)
 
 
 # -- whole-table matchings ----------------------------------------------------
@@ -181,7 +189,7 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     """
     violations: list[str] = []
     pairs = matching.pairs
-    n = table.n
+    covers = table.cover_incidence()
     for fid, gid in pairs.items():
         if pairs.get(gid) != fid or gid == fid:
             violations.append(f"{fid}<->{gid}: not a fixed-point-free involution")
@@ -189,8 +197,8 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
         if fid > gid:
             continue  # handle each pair once
         f, g = table.faces[fid], table.faces[gid]
-        lower, upper = (f, g) if f.dim < g.dim else (g, f)
-        if upper.dim != lower.dim + 1 or not set(lower.chain()) < set(upper.chain()):
+        lower, upper = (fid, gid) if f.dim < g.dim else (gid, fid)
+        if lower not in covers[upper]:
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(f.word, g.word):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
@@ -210,7 +218,7 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     if len(pairs) % 2:
         violations.append("odd number of matched faces")
     return MatchingReport(
-        n=n,
+        n=table.n,
         dual=matching.dual,
         ok=not violations,
         pair_count=len(pairs) // 2,

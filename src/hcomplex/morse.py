@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import FaceTable
-from .matching import MatchingMap
+from .matching import MatchingMap, critical_faces
 
 
 @dataclass
@@ -143,7 +143,7 @@ class MorseNumbers:
 
 
 def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
-    """Count unmatched faces per dimension.
+    """Count the unmatched faces per dimension that ``critical_faces`` checks.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -153,14 +153,10 @@ def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
     >>> morse_numbers(t, build_matching(t, dual=True)).m
     (1, 3, 0)
     """
-    counts = [0] * table.n
-    for fid, face in enumerate(table.faces):
-        if fid not in matching.pairs:
-            counts[face.dim + 1] += 1
-    total = len(matching.pairs) + sum(counts)
-    if total != len(table.faces):
+    counts = tuple(len(ids) for ids in critical_faces(table, matching).values())
+    if len(matching.pairs) + sum(counts) != len(table.faces):
         raise AssertionError("matched pairs and critical faces do not tile the table")
-    return MorseNumbers(table.n, matching.dual, tuple(counts))
+    return MorseNumbers(table.n, matching.dual, counts)
 
 
 @dataclass(frozen=True)

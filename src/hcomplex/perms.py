@@ -275,58 +275,6 @@ def inversions_between(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(len(a) - bisect_right(a, y) for y in b)
 
 
-def merge_blocks(f: BarredFace, bar_index: int) -> BarredFace:
-    """Erase bar bar_index, merging blocks bar_index and bar_index + 1.
-
-    >>> merge_blocks(BarredFace(3, ((0, 3), (2,), (1, 4))), 0)
-    BarredFace(3, 023|14)
-    """
-    blocks = f.blocks
-    if not 0 <= bar_index < len(blocks) - 1:
-        raise ValueError(f"no bar {bar_index} in a face with {len(blocks)} blocks")
-    merged = tuple(sorted(blocks[bar_index] + blocks[bar_index + 1]))
-    return BarredFace(f.n, blocks[:bar_index] + (merged,) + blocks[bar_index + 2:])
-
-
-class SplitMode(enum.Enum):
-    """How to cut one block in two; both cuts create exactly one inversion."""
-
-    SINGLETON = "singleton"  # sizes (1, m-1): {b2} | {b1, b3, .., bm}
-    PAIR = "pair"            # sizes (m-2, 2): {b1, .., b(m-3), b(m-1)} | {b(m-2), bm}
-
-
-def split_sorted_block(block: Block, mode: SplitMode) -> tuple[Block, Block]:
-    """Cut a sorted block per the mode; the unique such cut of those sizes
-    whose two halves have exactly one inversion between them.
-
-    >>> split_sorted_block((0, 1, 2, 3, 4), SplitMode.PAIR)
-    ((0, 1, 3), (2, 4))
-    >>> split_sorted_block((1, 2, 4, 6), SplitMode.SINGLETON)
-    ((2,), (1, 4, 6))
-    >>> split_sorted_block((0, 1, 2, 3, 4, 5, 6), SplitMode.SINGLETON)
-    ((1,), (0, 2, 3, 4, 5, 6))
-    """
-    m = len(block)
-    if mode is SplitMode.SINGLETON:
-        if m < 2:
-            raise ValueError("singleton split needs at least 2 elements")
-        return (block[1],), (block[0],) + block[2:]
-    if m < 4:
-        raise ValueError("pair split needs at least 4 elements")
-    return block[: m - 3] + (block[m - 2],), (block[m - 3], block[m - 1])
-
-
-def split_block(f: BarredFace, block_index: int, mode: SplitMode) -> BarredFace:
-    """Split one block of a face; the new bar is a descent by construction.
-
-    >>> split_block(BarredFace(3, ((0, 1, 2, 3, 4),)), 0, SplitMode.PAIR)
-    BarredFace(3, 013|24)
-    """
-    blocks = f.blocks
-    lower, upper = split_sorted_block(blocks[block_index], mode)
-    return BarredFace(f.n, blocks[:block_index] + (lower, upper) + blocks[block_index + 1:])
-
-
 def s_count(f: BarredFace, block_index: int) -> int:
     """Size of the maximal run of 2-blocks immediately above a block whose
     only inversions against the block and each other are the separating
@@ -411,12 +359,11 @@ def classify_interval(f: BarredFace, block_index: int) -> MatchableType | None:
 
 @dataclass(frozen=True, slots=True)
 class IntervalDiagnosis:
-    """Lowest matchable block of a face: index, rank of its lower bar,
-    its 2-block run length, and the match type."""
+    """Lowest matchable block of a face: index, rank of its lower bar, and
+    the match type."""
 
     block_index: int
     start_rank: int
-    s: int
     kind: MatchableType
 
 
@@ -426,10 +373,10 @@ def lowest_matchable(f: BarredFace) -> IntervalDiagnosis | None:
     >>> lowest_matchable(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
     True
     >>> lowest_matchable(BarredFace(3, ((0, 1, 2, 3, 4),)))
-    IntervalDiagnosis(block_index=0, start_rank=1, s=0, kind=<MatchableType.TWO_MERGED: 'two-merged'>)
+    IntervalDiagnosis(block_index=0, start_rank=1, kind=<MatchableType.TWO_MERGED: 'two-merged'>)
     """
     for i in range(len(f.blocks)):
         kind = classify_interval(f, i)
         if kind is not None:
-            return IntervalDiagnosis(i, f.start_rank(i), s_count(f, i), kind)
+            return IntervalDiagnosis(i, f.start_rank(i), kind)
     return None

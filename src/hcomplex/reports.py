@@ -28,8 +28,9 @@ from .homology import (
     expected_nonzero_dims,
     nonzero_dims_via_ranks,
 )
-from .matching import MatchingMap, build_matching, critical_faces, verify_well_defined
+from .matching import MatchingMap, build_matching, verify_well_defined
 from .morse import (
+    MorseNumbers,
     build_digraph,
     check_acyclic,
     check_thresholds,
@@ -68,16 +69,36 @@ def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
     return {"n": table.n, "dual": matching.dual, "pairs": pairs, "critical": critical}
 
 
-def morse_payload(table: FaceTable, matching: MatchingMap) -> dict:
-    """Export {n, dual, m, acyclic, certificateDigest}; m is keyed by dimension."""
+@dataclass(frozen=True, slots=True)
+class MatchingSide:
+    """One matching, checked: well-definedness and threshold failures, Morse
+    numbers, and whether the digraph certificate is acyclic and re-checks."""
+
+    violations: tuple[str, ...]
+    numbers: MorseNumbers
+    acyclic: bool
+    digest: str
+
+
+def check_matching_side(table: FaceTable, matching: MatchingMap) -> MatchingSide:
+    """Run every check of one matching; shared by report rows and ``morse``."""
+    report = verify_well_defined(table, matching)
     numbers = morse_numbers(table, matching)
-    cert = check_acyclic(build_digraph(table, matching))
+    violations = report.violations + check_thresholds(numbers).violations
+    g = build_digraph(table, matching)
+    cert = check_acyclic(g)
+    ok = cert.acyclic and verify_certificate(g, cert)
+    return MatchingSide(violations, numbers, ok, cert.digest)
+
+
+def morse_payload(side: MatchingSide) -> dict:
+    """Export {n, dual, m, acyclic, certificateDigest}; m is keyed by dimension."""
     return {
-        "n": table.n,
-        "dual": matching.dual,
-        "m": {str(d - 1): c for d, c in enumerate(numbers.m)},
-        "acyclic": cert.acyclic,
-        "certificateDigest": cert.digest,
+        "n": side.numbers.n,
+        "dual": side.numbers.dual,
+        "m": {str(d - 1): c for d, c in enumerate(side.numbers.m)},
+        "acyclic": side.acyclic,
+        "certificateDigest": side.digest,
     }
 
 
@@ -124,16 +145,6 @@ class ConjectureReport:
         return all(r.verdict == "PASS" for r in self.rows)
 
 
-def _matching_side_ok(table: FaceTable, matching: MatchingMap) -> tuple[bool, bool]:
-    """(well-defined and thresholds hold, digraph certified acyclic)."""
-    report = verify_well_defined(table, matching)
-    critical_faces(table, matching)  # asserts the critical structure
-    thresholds = check_thresholds(morse_numbers(table, matching))
-    g = build_digraph(table, matching)
-    cert = check_acyclic(g)
-    return report.ok and thresholds.ok, cert.acyclic and verify_certificate(g, cert)
-
-
 def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     """Run every verification for one n.
 
@@ -144,8 +155,8 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     """
     if table is None:
         table = enumerate_faces(n, max_n=n)
-    primal_ok, primal_acyclic = _matching_side_ok(table, build_matching(table))
-    dual_ok, dual_acyclic = _matching_side_ok(table, build_matching(table, dual=True))
+    primal = check_matching_side(table, build_matching(table))
+    dual = check_matching_side(table, build_matching(table, dual=True))
     if n <= 7:
         bt = betti_table(table, "Z")
         observed = bt.nonzero_dims()
@@ -159,9 +170,9 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
         n,
         tuple(sorted(expected_nonzero_dims(n))),
         tuple(sorted(observed)),
-        primal_ok,
-        dual_ok,
-        primal_acyclic and dual_acyclic,
+        not primal.violations,
+        not dual.violations,
+        primal.acyclic and dual.acyclic,
         check_betti_symmetry(bt),
         witness_ok,
     )

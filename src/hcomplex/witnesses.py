@@ -171,14 +171,22 @@ def has_local_parent(face: BarredFace) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class WitnessReport:
+    """The checks of one witness, with the free face and cycle they ran on."""
+
     n: int
     k: int
     term_count: int
     checks: dict[str, bool]
+    free_face: BarredFace
+    chain: SignedChain
 
     @property
     def ok(self) -> bool:
         return all(self.checks.values())
+
+    def payload(self) -> dict:
+        """``witness_payload`` of the checked cycle itself."""
+        return _render(self.free_face, self.chain)
 
 
 def verify_witness(n: int, k: int, table: FaceTable | None = None) -> WitnessReport:
@@ -201,7 +209,7 @@ def verify_witness(n: int, k: int, table: FaceTable | None = None) -> WitnessRep
     }
     if table is not None:
         checks["free_face_is_free_in_table"] = is_free_face(table, spec.free_face)
-    return WitnessReport(n, k, len(z), checks)
+    return WitnessReport(n, k, len(z), checks, spec.free_face, z)
 
 
 def _core_blocks(face: BarredFace) -> str:
@@ -218,15 +226,17 @@ def witness_payload(n: int, k: int) -> dict:
     >>> witness_payload(3, 0)["terms"]
     [{'perm': [1, 3, 2], 'sign': 1}, {'perm': [3, 1, 2], 'sign': -1}]
     """
-    spec = witness_spec(n, k)
-    z = cycle_witness(n, k)
+    return _render(free_face(n, k), cycle_witness(n, k))
+
+
+def _render(face: BarredFace, z: SignedChain) -> dict:
     terms = sorted(
         ({"perm": list(f.word[1:-1]), "sign": c} for f, c in z.coeffs.items()),
         key=lambda t: t["perm"],
     )
     return {
-        "n": n,
-        "k": k,
-        "freeFace": _core_blocks(spec.free_face),
+        "n": z.n,
+        "k": z.dim,
+        "freeFace": _core_blocks(face),
         "terms": terms,
     }

@@ -36,6 +36,40 @@ def test_cli_witness_frozen_output(capsys):
     assert len(payload["terms"]) == 4
 
 
+def test_cli_witness_prints_the_chain_it_verified(capsys, monkeypatch):
+    from hcomplex import witnesses
+
+    cycle_witness = witnesses.cycle_witness
+    built = []
+
+    def counted(n, k):
+        built.append((n, k))
+        return cycle_witness(n, k)
+
+    expected = json.dumps(witnesses.witness_payload(8, 2), indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr("hcomplex.witnesses.cycle_witness", counted)
+    assert main(["witness", "--n", "8", "--k", "2"]) == 0
+    assert built == [(8, 2)]
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_morse_rechecks_the_certificate(capsys, monkeypatch):
+    from hcomplex import reports
+    from hcomplex.morse import AcyclicityCertificate
+
+    check_acyclic = reports.check_acyclic
+
+    def reversed_order(g):
+        cert = check_acyclic(g)
+        order = tuple(reversed(cert.order))
+        return AcyclicityCertificate(True, order, None, cert.digest)
+
+    monkeypatch.setattr("hcomplex.reports.check_acyclic", reversed_order)
+    assert main(["morse", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not certified acyclic" in captured.err
+
+
 def test_cli_homology_csv(capsys):
     assert main(["homology", "--n", "5", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -57,7 +91,7 @@ def test_cli_witness_ceiling_exits_2_before_any_work(capsys, monkeypatch):
 
     # 2^41 terms must never be asked for
     monkeypatch.setattr("hcomplex.cli.verify_witness", never)
-    monkeypatch.setattr("hcomplex.cli.witness_payload", never)
+    monkeypatch.setattr("hcomplex.witnesses.cycle_witness", never)
     assert main(["witness", "--n", "100", "--k", "40", "--no-cache"]) == 2
     err = capsys.readouterr().err
     assert "witness ceiling" in err and "unsafe-budget" in err
@@ -79,6 +113,12 @@ def test_cli_falsification_exits_1(capsys, monkeypatch):
     )
     assert main(["match", "--n", "3"]) == 1
     assert "falsified" in capsys.readouterr().err
+    monkeypatch.setattr(
+        "hcomplex.reports.verify_well_defined",
+        lambda table, matching: MatchingReport(3, False, False, 0, 0, ("forced",)),
+    )
+    assert main(["morse", "--n", "3"]) == 1
+    assert "forced" in capsys.readouterr().err
 
 
 def test_cli_conjecture_table(capsys):

@@ -1,7 +1,9 @@
 """The discrete matching: involution structure, type pairing, dual mirror."""
 
+import enum
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from hcomplex.matching import (
 )
 from hcomplex.perms import (
     BarredFace,
+    IntervalDiagnosis,
     MatchableType,
     Permutation,
     complement,
@@ -29,6 +32,67 @@ PAIRED = {
     MatchableType.TWO_MERGED: MatchableType.TWO_SPLIT,
     MatchableType.TWO_SPLIT: MatchableType.TWO_MERGED,
 }
+
+
+# -- the matching computed by block surgery: an oracle ------------------------
+#
+# Split types merge the block with the one above it; merged types cut the
+# block in two, so that the halves have exactly one inversion between them.
+# partner computes the same face as one adjacent swap of the word.
+
+
+def merge_blocks(f: BarredFace, bar_index: int) -> BarredFace:
+    """Erase bar bar_index, merging blocks bar_index and bar_index + 1."""
+    blocks = f.blocks
+    if not 0 <= bar_index < len(blocks) - 1:
+        raise ValueError(f"no bar {bar_index} in a face with {len(blocks)} blocks")
+    merged = tuple(sorted(blocks[bar_index] + blocks[bar_index + 1]))
+    return BarredFace(f.n, blocks[:bar_index] + (merged,) + blocks[bar_index + 2:])
+
+
+class SplitMode(enum.Enum):
+    """How to cut one block in two; both cuts create exactly one inversion."""
+
+    SINGLETON = "singleton"  # sizes (1, m-1): {b2} | {b1, b3, .., bm}
+    PAIR = "pair"            # sizes (m-2, 2): {b1, .., b(m-3), b(m-1)} | {b(m-2), bm}
+
+
+def split_sorted_block(block, mode: SplitMode):
+    """Cut a sorted block per the mode; the unique such cut of those sizes
+    whose two halves have exactly one inversion between them."""
+    m = len(block)
+    if mode is SplitMode.SINGLETON:
+        if m < 2:
+            raise ValueError("singleton split needs at least 2 elements")
+        return (block[1],), (block[0],) + block[2:]
+    if m < 4:
+        raise ValueError("pair split needs at least 4 elements")
+    return block[: m - 3] + (block[m - 2],), (block[m - 3], block[m - 1])
+
+
+def split_block(f: BarredFace, block_index: int, mode: SplitMode) -> BarredFace:
+    """Split one block of a face; BarredFace rejects an illegal splice."""
+    blocks = f.blocks
+    lower, upper = split_sorted_block(blocks[block_index], mode)
+    return BarredFace(f.n, blocks[:block_index] + (lower, upper) + blocks[block_index + 1:])
+
+
+def partner_by_surgery(f: BarredFace) -> BarredFace | None:
+    """Same map as partner, computed by merging or splitting blocks."""
+    diag = lowest_matchable(f)
+    if diag is None:
+        return None
+    i = diag.block_index
+    if diag.kind in (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT):
+        return merge_blocks(f, i)
+    if diag.kind is MatchableType.ONE_MERGED:
+        return split_block(f, i, SplitMode.SINGLETON)
+    return split_block(f, i, SplitMode.PAIR)
+
+
+def dual_partner_by_surgery(f: BarredFace) -> BarredFace | None:
+    g = partner_by_surgery(complemented(f))
+    return None if g is None else complemented(g)
 
 
 # -- the dual matching computed directly on mirrored words: an oracle --------
@@ -183,6 +247,7 @@ BIG_PERMUTATIONS = st.integers(10, 30).flatmap(lambda n: st.permutations(range(1
 def test_partner_properties_beyond_enumeration(core):
     f = face_from_perm(Permutation.from_core(core))
     g = partner(f)
+    assert g == partner_by_surgery(f)
     if g is not None:
         assert_local_match(f, g, partner, lambda h: h)
 
@@ -192,8 +257,34 @@ def test_partner_properties_beyond_enumeration(core):
 def test_dual_partner_properties_beyond_enumeration(core):
     f = face_from_perm(Permutation.from_core(core))
     g = dual_partner(f)
+    assert g == dual_partner_by_surgery(f)
     if g is not None:
         assert_local_match(f, g, dual_partner, complemented)
+
+
+def test_partners_equal_block_surgery(table):
+    for n in range(1, 8):
+        for f in table(n).faces:
+            assert partner(f) == partner_by_surgery(f), f
+            assert dual_partner(f) == dual_partner_by_surgery(f), f
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        # swapping letters 2, 4 of 0 3 2 4 1 5 erases the bar at rank 2 too
+        IntervalDiagnosis(1, 2, MatchableType.ONE_MERGED),
+        # swapping the sentinel 0 with the letter after it
+        IntervalDiagnosis(0, 1, MatchableType.ONE_MERGED),
+    ],
+)
+def test_partner_guard_rejects_a_swap_that_moves_a_neighbouring_bar(monkeypatch, diag):
+    f = BarredFace(4, ((0, 3), (2, 4), (1, 5)))
+    monkeypatch.setattr("hcomplex.matching.lowest_matchable", lambda face: diag)
+    with pytest.raises(AssertionError, match="not a cover move"):
+        partner(f)
+    with pytest.raises(AssertionError, match="not a cover move"):
+        dual_partner(f)
 
 
 def test_whole_table_matchings_verify(table, matching):
