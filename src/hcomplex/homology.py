@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .complexes import FaceTable, enumerate_faces
-from .perms import BarredFace, face_from_chain
+from .perms import BarredFace, Block
 from .snf import Rows, rank_mod_p, rank_q, smith_normal_form, transpose_rows
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
@@ -251,15 +251,29 @@ class SignedChain:
 def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
+    Erasing bar i of a face sorts blocks i and i+1 into one block, with sign
+    (-1)^i, the rule ``covers_down`` applies on the table.  Terms are summed
+    by their blocks, and only those with a non-zero coefficient become
+    faces.  Raises ValueError if a merge dissolves a neighbouring bar, which
+    no valid face allows.
+
     >>> from .perms import Permutation, face_from_perm
     >>> f = face_from_perm(Permutation.from_core((2, 1, 3)))
     >>> sorted(repr(g) for g in boundary_of_chain(SignedChain(3, 0, {f: 1})).coeffs)
     ['BarredFace(3, 01234)']
     """
-    acc: dict[BarredFace, int] = {}
+    acc: dict[tuple[Block, ...], int] = {}
     for face, c in chain.coeffs.items():
-        masks = face.chain()
-        for i in range(len(masks)):
-            g = face_from_chain(chain.n, masks[:i] + masks[i + 1:])
-            acc[g] = acc.get(g, 0) + (c if i % 2 == 0 else -c)
-    return SignedChain(chain.n, chain.dim - 1, {f: v for f, v in acc.items() if v})
+        blocks = face.blocks
+        bars = len(blocks) - 1
+        for i in range(bars):
+            merged = tuple(sorted(blocks[i] + blocks[i + 1]))
+            if (i and blocks[i - 1][-1] < merged[0]) or (
+                i + 1 < bars and merged[-1] < blocks[i + 2][0]
+            ):
+                raise ValueError(f"erasing bar {i} of {face!r} dissolves a neighbouring bar")
+            key = blocks[:i] + (merged,) + blocks[i + 2:]
+            acc[key] = acc.get(key, 0) + (c if i % 2 == 0 else -c)
+    return SignedChain(
+        chain.n, chain.dim - 1, {BarredFace(chain.n, b): v for b, v in acc.items() if v}
+    )

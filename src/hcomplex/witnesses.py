@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .complexes import FaceTable, is_free_face
 from .homology import SignedChain, boundary_of_chain
-from .perms import BarredFace, Permutation, face_from_perm
+from .perms import BarredFace, Permutation, face_from_chain, face_from_perm
 
 
 def admissible_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -136,35 +136,29 @@ def cycle_witness(n: int, k: int) -> SignedChain:
 def has_local_parent(face: BarredFace) -> bool:
     """Whether some face of the full complex properly contains this one.
 
-    Refinements insert one subset into the chain, splitting a block into a
-    lower part L and upper part U.  The split is legal exactly when the new
-    bar is a descent (max L > min U) and the bars either side survive: the
-    block's first letter moving up into U forces the previous block to still
-    descend onto min L, and its last letter moving down into L forces max U
-    to still descend onto the next block.  Sentinels stay put, so the first
-    and last blocks skip the outer conditions.
+    A parent inserts one subset into the chain: for some block i and some
+    proper non-empty subset L of its core letters, the chain gains the mask
+    prev | L between the masks below and above block i.  The parent exists
+    exactly when ``face_from_chain`` accepts that refined chain, that is,
+    when every bar of it is a descent.
 
     >>> has_local_parent(free_face(5, 1))
     False
     >>> has_local_parent(BarredFace(3, ((0, 1, 2, 3, 4),)))  # the empty face
     True
     """
-    blocks = face.blocks
-    for i, block in enumerate(blocks):
-        core = [v for v in block if 0 < v <= face.n]
-        if len(core) < 2:
-            continue
-        before = blocks[i - 1][-1] if i > 0 else None
-        after = blocks[i + 1][0] if i + 1 < len(blocks) else None
+    n = face.n
+    masks = face.chain()
+    for i, block in enumerate(face.blocks):
+        core = [v for v in block if 0 < v <= n]
+        prev = masks[i - 1] if i else 0
         for size in range(1, len(core)):
             for lower in combinations(core, size):
-                upper = [v for v in core if v not in lower]
-                if max(lower) < upper[0]:
-                    continue  # new bar would be an ascent
-                if after is not None and core[-1] in lower and upper[-1] < after:
-                    continue  # bar after the block would dissolve
-                if before is not None and core[0] not in lower and before < lower[0]:
-                    continue  # bar before the block would dissolve
+                refined = masks[:i] + (prev | sum(1 << v for v in lower),) + masks[i:]
+                try:
+                    face_from_chain(n, refined)
+                except ValueError:
+                    continue  # some bar of the refinement is an ascent
                 return True
     return False
 

@@ -17,7 +17,8 @@ from hcomplex.homology import (
     nonzero_dims_over_z,
     nonzero_dims_via_ranks,
 )
-from hcomplex.perms import BarredFace, Permutation, face_from_perm
+from hcomplex.perms import BarredFace, Permutation, face_from_chain, face_from_perm
+from hcomplex.witnesses import admissible_pairs, cycle_witness
 
 BETTI = {
     1: {-1: 1},  # only the empty face: reduced homology in dimension -1
@@ -82,6 +83,61 @@ def test_boundary_of_boundary_is_zero_chainwise(table):
                 continue
             dd = boundary_of_chain(boundary_of_chain(SignedChain(n, f.dim, {f: 1})))
             assert dd.is_zero()
+
+
+def boundary_of_chain_by_chain_deletion(chain):
+    """The table-free boundary that merging blocks replaced: delete one chain
+    element and rebuild the face from the remaining bitmasks."""
+    acc = {}
+    for face, c in chain.coeffs.items():
+        masks = face.chain()
+        for i in range(len(masks)):
+            g = face_from_chain(chain.n, masks[:i] + masks[i + 1:])
+            acc[g] = acc.get(g, 0) + (c if i % 2 == 0 else -c)
+    return SignedChain(chain.n, chain.dim - 1, {f: v for f, v in acc.items() if v})
+
+
+def test_boundary_of_chain_equals_table_columns(table):
+    for n in range(1, 7):
+        t = table(n)
+        by_dim = t.ids_by_dim()
+        for d in range(-1, n - 1):
+            cols = {}
+            if d >= 0:
+                for r, row in boundary_matrix(t, d).rows.items():
+                    for c, v in row.items():
+                        cols.setdefault(c, {})[t.faces[by_dim[d - 1][r]]] = v
+            for c, g in enumerate(by_dim[d]):
+                f = t.faces[g]
+                got = boundary_of_chain(SignedChain(n, d, {f: 1}))
+                assert got.dim == d - 1
+                assert dict(got.coeffs) == cols.get(c, {}), f
+
+
+def test_boundary_of_witnesses_equals_chain_deletion():
+    for n, k in admissible_pairs(13):
+        z = cycle_witness(n, k)
+        # the cycle itself, whose boundary is zero, and each of its terms
+        for chain in [z] + [SignedChain(n, k, {f: c}) for f, c in z.coeffs.items()]:
+            got = boundary_of_chain(chain)
+            want = boundary_of_chain_by_chain_deletion(chain)
+            assert (got.dim, dict(got.coeffs)) == (want.dim, dict(want.coeffs)), chain
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((0, 1), (2,), (3, 4)),  # both bars are ascents
+        ((0, 2), (1,), (3, 4)),  # merging blocks 0 and 1 meets the ascent above
+        ((0, 1), (3,), (2, 4)),  # merging blocks 1 and 2 meets the ascent below
+    ],
+)
+def test_boundary_of_chain_guard_rejects_a_bar_at_an_ascent(blocks):
+    # BarredFace rejects these blocks, so they are set past its validation
+    f = BarredFace(3, ((0, 2), (1, 3, 4)))
+    object.__setattr__(f, "blocks", blocks)
+    with pytest.raises(ValueError, match="neighbouring bar"):
+        boundary_of_chain(SignedChain(3, 1, {f: 1}))
 
 
 def test_boundary_matrix_golden_n3(table):

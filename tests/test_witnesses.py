@@ -1,10 +1,14 @@
 """Free-face cycle witnesses: construction, certification, freeness scan."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcomplex.complexes import covers_down, is_free_face
 from hcomplex.homology import boundary_of_chain
-from hcomplex.perms import BarredFace
+from hcomplex.perms import BarredFace, Permutation, face_from_perm
 from hcomplex.witnesses import (
     admissible_pairs,
     cycle_witness,
@@ -64,10 +68,36 @@ def test_witness_structure_all_admissible(table):
         assert report.checks["free_face_is_free_in_table"]
 
 
+def has_local_parent_by_neighbour_bars(face):
+    """The freeness rule that testing refined chains replaced: split a block
+    into L and U, and require the new bar to be a descent and the bars either
+    side of the block to survive."""
+    blocks = face.blocks
+    for i, block in enumerate(blocks):
+        core = [v for v in block if 0 < v <= face.n]
+        if len(core) < 2:
+            continue
+        before = blocks[i - 1][-1] if i > 0 else None
+        after = blocks[i + 1][0] if i + 1 < len(blocks) else None
+        for size in range(1, len(core)):
+            for lower in combinations(core, size):
+                upper = [v for v in core if v not in lower]
+                if max(lower) < upper[0]:
+                    continue  # new bar would be an ascent
+                if after is not None and core[-1] in lower and upper[-1] < after:
+                    continue  # bar after the block would dissolve
+                if before is not None and core[0] not in lower and before < lower[0]:
+                    continue  # bar before the block would dissolve
+                return True
+    return False
+
+
 def test_witnesses_beyond_enumeration_reach():
-    for n, k in ((10, 2), (11, 3), (13, 3)):
+    for n, k in admissible_pairs(24):
         report = verify_witness(n, k)
         assert report.ok, (n, k, report.checks)
+        assert report.term_count == 2 ** (k + 1)
+        assert not has_local_parent_by_neighbour_bars(report.free_face)
 
 
 def test_local_freeness_scan_matches_table_oracle(table):
@@ -75,6 +105,14 @@ def test_local_freeness_scan_matches_table_oracle(table):
         t = table(n)
         for f in t.faces:
             assert has_local_parent(f) == (not is_free_face(t, f)), f
+            assert has_local_parent_by_neighbour_bars(f) == has_local_parent(f), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(10, 24).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_local_parent_equals_neighbour_bar_rule(core):
+    f = face_from_perm(Permutation.from_core(core))
+    assert has_local_parent(f) == has_local_parent_by_neighbour_bars(f)
 
 
 def test_free_face_block_shape():
