@@ -14,13 +14,14 @@ the descent chain.
 The cover relation (erase one bar) is computed once per face table, by one
 ``covers_down`` call per face, and kept as ``FaceTable.cover_incidence``:
 per face id, the ids of the faces it covers, in bar order.  Both Morse
-digraphs, the free-face flags and the signed boundary matrices all read it.
+digraphs, the free-face test and the signed boundary matrices all read it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +53,7 @@ class FaceTable:
     faces: list[BarredFace]
     id_of_core: dict[tuple[int, ...], int]
     _covers: list[list[int]] | None = field(default=None, repr=False)
-    _has_parent: list[bool] | None = field(default=None, repr=False)
+    _partners: array | None = field(default=None, repr=False)
     _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
     _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
@@ -82,16 +83,6 @@ class FaceTable:
                 out[f.dim].append(i)
             self._ids_by_dim = out
         return self._ids_by_dim
-
-    def has_parent(self, face_id: int) -> bool:
-        """Whether some face of the table properly contains this one."""
-        if self._has_parent is None:
-            flags = [False] * len(self.faces)
-            for lowers in self.cover_incidence():
-                for g in lowers:
-                    flags[g] = True
-            self._has_parent = flags
-        return self._has_parent[face_id]
 
 
 def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
@@ -156,7 +147,8 @@ def is_free_face(table: FaceTable, f: BarredFace) -> bool:
     >>> is_free_face(t, face_from_perm(Permutation.from_core((1, 2, 3))))
     False
     """
-    return not table.has_parent(table.id_of_face(f))
+    fid = table.id_of_face(f)
+    return not any(fid in lowers for lowers in table.cover_incidence())
 
 
 def f_vector(table: FaceTable) -> tuple[int, ...]:

@@ -9,11 +9,17 @@ state, so matched faces are a cover pair and the moves are mutually inverse.
 The dual matching applies the same rules to the order-reversed structure
 (maximal decreasing runs, bars at ascents): the complemented face
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
-word.  ``critical_faces`` reads dual critical faces by their decreasing runs.
+word.  Complement reverses the lex order of face ids, so the dual pairs are
+the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
+
+>>> from .complexes import enumerate_faces
+>>> build_matching(enumerate_faces(3), dual=True).pairs
+{4: 5, 5: 4}
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .complexes import FaceTable
@@ -102,46 +108,38 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
 
 @dataclass
 class MatchingMap:
-    """A partial matching of the face table by cover pairs.
+    """One side's matching: each matched face id to its cover-pair partner.
 
-    pairs maps each matched id to its partner (both directions present).
-    diagnosis holds, per face, the lowest-matchable data in the structure the
-    matching was built on (the complemented face, for the dual).
+    >>> from .complexes import enumerate_faces
+    >>> build_matching(enumerate_faces(3), dual=True)
+    MatchingMap(n=3, dual=True, pairs={4: 5, 5: 4})
     """
 
     n: int
     dual: bool
     pairs: dict[int, int]
-    diagnosis: list[IntervalDiagnosis | None]
 
 
 def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     """Match every non-critical face through its lowest matchable block.
 
+    The first call per table keeps one ``partner`` id per face (-1: critical);
+    the dual relabels those pairs f -> N-1-f.  Each call returns a new dict.
+
     >>> from .complexes import enumerate_faces
-    >>> m = build_matching(enumerate_faces(3))
-    >>> m.pairs, sum(d is None for d in m.diagnosis)
-    ({0: 1, 1: 0}, 4)
+    >>> t = enumerate_faces(3)
+    >>> build_matching(t).pairs, build_matching(t, dual=True).pairs
+    ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
-    comp_id: list[int] | None = None
+    if table._partners is None:
+        found = map(partner, table.faces)
+        table._partners = array("i", (-1 if g is None else table.id_of_face(g) for g in found))
     if dual:
-        n = table.n
-        comp_id = [
-            table.id_of_core[tuple(n + 1 - x for x in f.word[1:-1])]
-            for f in table.faces
-        ]
-    pairs: dict[int, int] = {}
-    diagnosis: list[IntervalDiagnosis | None] = []
-    for fid, face in enumerate(table.faces):
-        probe = table.faces[comp_id[fid]] if comp_id is not None else face
-        diag = lowest_matchable(probe)
-        diagnosis.append(diag)
-        if diag is None:
-            continue
-        g = partner(probe)
-        gid = table.id_of_face(g)
-        pairs[fid] = comp_id[gid] if comp_id is not None else gid
-    return MatchingMap(table.n, dual, pairs, diagnosis)
+        last = len(table.faces) - 1
+        pairs = {f: last - g for f, g in enumerate(table._partners[::-1]) if g >= 0}
+    else:
+        pairs = {f: g for f, g in enumerate(table._partners) if g >= 0}
+    return MatchingMap(table.n, dual, pairs)
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
@@ -182,10 +180,16 @@ class MatchingReport:
 
 
 def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingReport:
-    """Confirm the matching is an involution by cover pairs in which both
-    members share their lowest matchable rank with inverse types
-    (one-split with one-merged, two-merged with two-split), and that the
-    matched permutations differ by one adjacent transposition.
+    """Confirm the matching is an involution by cover pairs one adjacent
+    transposition apart whose members, diagnosed here on the side
+    ``matching.dual`` names (a dual face through its complemented core),
+    share their lowest matchable rank with inverse types (one-split with
+    one-merged, two-merged with two-split).
+
+    >>> from .complexes import enumerate_faces
+    >>> t = enumerate_faces(3)
+    >>> verify_well_defined(t, build_matching(t, dual=True)).ok
+    True
     """
     violations: list[str] = []
     pairs = matching.pairs
@@ -202,9 +206,12 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(f.word, g.word):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        df, dg = matching.diagnosis[fid], matching.diagnosis[gid]
+        cores = [f.word[1:-1], g.word[1:-1]]
+        if matching.dual:
+            cores = [tuple(table.n + 1 - x for x in core) for core in cores]
+        df, dg = (lowest_matchable(table.faces[table.id_of_core[c]]) for c in cores)
         if df is None or dg is None:
-            violations.append(f"{fid}<->{gid}: matched face lacks a diagnosis")
+            violations.append(f"{fid}<->{gid}: matched face has no matchable block")
             continue
         if df.start_rank != dg.start_rank:
             violations.append(
@@ -214,7 +221,6 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             violations.append(
                 f"{fid}<->{gid}: types {df.kind.value} and {dg.kind.value} not inverse"
             )
-    critical = len(table.faces) - len(pairs)
     if len(pairs) % 2:
         violations.append("odd number of matched faces")
     return MatchingReport(
@@ -222,6 +228,6 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
         dual=matching.dual,
         ok=not violations,
         pair_count=len(pairs) // 2,
-        critical_count=critical,
+        critical_count=len(table.faces) - len(pairs),
         violations=tuple(violations[:20]),
     )

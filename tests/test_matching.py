@@ -1,6 +1,7 @@
 """The discrete matching: involution structure, type pairing, dual mirror."""
 
 import enum
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hcomplex.complexes import enumerate_faces
 from hcomplex.matching import (
+    MatchingMap,
     build_matching,
     critical_faces,
     dual_partner,
@@ -333,7 +335,7 @@ def test_matching_map_pairs_hold_both_directions(matching):
 
 
 def test_dual_matching_equals_complement_conjugated_primal(table, matching):
-    for n in range(1, 6):
+    for n in range(1, 8):
         t = table(n)
         comp = {
             fid: t.id_of_core[tuple(n + 1 - x for x in f.word[1:-1])]
@@ -341,3 +343,53 @@ def test_dual_matching_equals_complement_conjugated_primal(table, matching):
         }
         primal, dual = matching(n).pairs, matching(n, True).pairs
         assert dual == {comp[f]: comp[g] for f, g in primal.items()}
+
+
+def test_complement_reverses_face_ids(table):
+    for n in range(1, 8):
+        t = table(n)
+        last = len(t) - 1
+        for fid, f in enumerate(t.faces):
+            assert t.id_of_core[tuple(n + 1 - x for x in f.word[1:-1])] == last - fid
+
+
+def test_build_matching_diagnoses_each_face_once(monkeypatch):
+    import hcomplex.matching as matching_module
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(matching_module, name)
+
+        def wrapper(face):
+            calls[name] += 1
+            return original(face)
+
+        monkeypatch.setattr(matching_module, name, wrapper)
+
+    counted("lowest_matchable")
+    counted("partner")
+    t = enumerate_faces(6)
+    build_matching(t)
+    assert calls == {"lowest_matchable": 720, "partner": 720}
+    calls.clear()
+    build_matching(t, dual=True)
+    assert not calls
+
+
+def test_verifier_diagnoses_the_side_it_is_told(table, matching):
+    for n in range(4, 7):
+        t = table(n)
+        mislabelled = MatchingMap(n, True, matching(n).pairs)
+        assert verify_well_defined(t, mislabelled).violations
+        mislabelled = MatchingMap(n, False, matching(n, True).pairs)
+        assert verify_well_defined(t, mislabelled).violations
+
+
+def test_cleared_pairs_leave_later_matchings_unchanged():
+    t = enumerate_faces(5)
+    primal, dual = build_matching(t).pairs, build_matching(t, dual=True).pairs
+    expected = (dict(primal), dict(dual))
+    primal.clear()
+    dual.clear()
+    assert (build_matching(t).pairs, build_matching(t, dual=True).pairs) == expected

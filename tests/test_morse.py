@@ -90,8 +90,6 @@ def test_cycle_extraction_and_certificate_rejection():
 
 def test_morse_numbers_frozen(table, matching):
     for n, expected in MORSE_PRIMAL.items():
-        if n > 6:
-            continue
         assert morse_numbers(table(n), matching(n)).m == expected
         dual = morse_numbers(table(n), matching(n, True)).m
         assert dual == tuple(reversed(expected))
