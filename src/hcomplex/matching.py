@@ -182,9 +182,9 @@ class MatchingReport:
 def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingReport:
     """Confirm the matching is an involution by cover pairs one adjacent
     transposition apart whose members, diagnosed here on the side
-    ``matching.dual`` names (a dual face through its complemented core),
-    share their lowest matchable rank with inverse types (one-split with
-    one-merged, two-merged with two-split).
+    ``matching.dual`` names (a primal face directly, a dual face through its
+    complemented core), share their lowest matchable rank with inverse types
+    (one-split with one-merged, two-merged with two-split).
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -206,10 +206,10 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(f.word, g.word):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        cores = [f.word[1:-1], g.word[1:-1]]
-        if matching.dual:
-            cores = [tuple(table.n + 1 - x for x in core) for core in cores]
-        df, dg = (lowest_matchable(table.faces[table.id_of_core[c]]) for c in cores)
+        if matching.dual:  # diagnose the complemented faces, found by core
+            cores = (tuple(table.n + 1 - x for x in h.word[1:-1]) for h in (f, g))
+            f, g = (table.faces[table.id_of_core[c]] for c in cores)
+        df, dg = lowest_matchable(f), lowest_matchable(g)
         if df is None or dg is None:
             violations.append(f"{fid}<->{gid}: matched face has no matchable block")
             continue

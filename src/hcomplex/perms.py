@@ -3,9 +3,11 @@
 A permutation a_1 .. a_n of {1..n} is carried as the word 0, a_1, .., a_n,
 n+1.  The slot between word positions i and i+1 is called rank i+1; because of
 the sentinels, descents (a letter larger than its successor) can occur only at
-ranks 2..n.  Cutting the word at its descents produces the blocks of a barred
-face: maximal increasing runs, every bar a descent.  A face with b blocks has
-dimension b - 2, so the identity word (one block) is the empty face.
+ranks 2..n.  The face rule: the blocks of a barred face are the maximal
+increasing runs of a sentinel word (a permutation of 0..n+1 with 0 first and
+n+1 last), so every bar is a descent.  ``BarredFace`` accepts exactly that,
+blocks as a tuple of tuples.  A face with b blocks has dimension b - 2, so the
+identity word (one block) is the empty face.
 
 >>> p = Permutation.from_core((1, 3, 2, 6, 5, 4))
 >>> p.word
@@ -19,11 +21,20 @@ dimension b - 2, so the identity word (one block) is the empty face.
 from __future__ import annotations
 
 import enum
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
+
+
+def _check_sentinel_word(word: Sequence[int], n: int) -> None:
+    """Raise ValueError unless word permutes 0..n+1 with 0 first, n+1 last."""
+    if len(word) != n + 2 or set(word) != set(range(n + 2)):
+        raise ValueError(f"not a permutation of 0..{n + 1}: {word}")
+    if not word or word[0] != 0 or word[-1] != n + 1:
+        raise ValueError(f"sentinels must be 0 and {n + 1}: {word}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,14 +44,9 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        word = self.word
-        n = len(word) - 2
-        if n < 1:
+        if len(self.word) < 3:
             raise ValueError("word must contain at least one core letter")
-        if word[0] != 0 or word[-1] != n + 1:
-            raise ValueError(f"sentinels must be 0 and {n + 1}: {word}")
-        if set(word) != set(range(n + 2)):
-            raise ValueError(f"not a permutation word: {word}")
+        _check_sentinel_word(self.word, len(self.word) - 2)
 
     @classmethod
     def from_core(cls, core: Iterable[int]) -> "Permutation":
@@ -73,7 +79,10 @@ class Permutation:
 class BarredFace:
     """Blocks of a sentinel word: maximal increasing runs, bars at descents.
 
-    The face of 1324 (word 0 1 3 2 4 5):
+    Valid exactly when the concatenated blocks form a sentinel word of
+    length n + 2 and ``blocks_of_word(word) == blocks``; anything else,
+    including list blocks, raises ValueError.  The face of 1324 (word
+    0 1 3 2 4 5):
 
     >>> f = BarredFace(4, ((0, 1, 3), (2, 4, 5)))
     >>> f.dim
@@ -86,26 +95,14 @@ class BarredFace:
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        blocks = self.blocks
-        if not blocks or any(not b for b in blocks):
-            raise ValueError("blocks must be non-empty")
-        for b in blocks:
-            if any(x >= y for x, y in zip(b, b[1:])):
-                raise ValueError(f"block not strictly increasing: {b}")
         word = self.word
-        if len(word) != self.n + 2 or set(word) != set(range(self.n + 2)):
-            raise ValueError(f"blocks do not tile 0..{self.n + 1}: {blocks}")
-        if blocks[0][0] != 0:
-            raise ValueError("block 0 must contain the sentinel 0")
-        if blocks[-1][-1] != self.n + 1:
-            raise ValueError(f"last block must contain the sentinel {self.n + 1}")
-        for left, right in zip(blocks, blocks[1:]):
-            if left[-1] < right[0]:
-                raise ValueError(f"bar between {left} and {right} is not a descent")
+        _check_sentinel_word(word, self.n)
+        if blocks_of_word(word) != self.blocks:
+            raise ValueError(f"blocks {self.blocks!r} != blocks_of_word({word})")
 
     @property
     def word(self) -> tuple[int, ...]:
-        return tuple(x for b in self.blocks for x in b)
+        return tuple(itertools.chain.from_iterable(self.blocks))
 
     @property
     def dim(self) -> int:
@@ -122,12 +119,7 @@ class BarredFace:
         >>> BarredFace(4, ((0, 1, 3), (2, 4, 5))).bar_ranks()
         (3,)
         """
-        ranks = []
-        total = 0
-        for b in self.blocks[:-1]:
-            total += len(b)
-            ranks.append(total)
-        return tuple(ranks)
+        return tuple(itertools.accumulate(map(len, self.blocks[:-1])))
 
     def chain(self) -> tuple[int, ...]:
         """The face as a chain of subsets of {1..n}, one bitmask per bar.
@@ -251,15 +243,8 @@ def decreasing_runs(p: Permutation) -> tuple[Block, ...]:
     >>> decreasing_runs(Permutation.from_core((1, 2, 3)))
     ((0,), (1,), (2,), (3,), (4,))
     """
-    w = p.word
-    runs: list[Block] = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i - 1] < w[i]:
-            runs.append(tuple(w[start:i]))
-            start = i
-    runs.append(tuple(w[start:]))
-    return tuple(runs)
+    negated = blocks_of_word([-v for v in p.word])  # ascents become descents
+    return tuple(tuple(-v for v in run) for run in negated)
 
 
 def inversions_between(a: Sequence[int], b: Sequence[int]) -> int:

@@ -2,7 +2,8 @@
 
 A conjecture row for one n runs the whole machine: both matchings are built
 and verified, both Morse digraphs certified acyclic, Morse numbers checked
-against the vanishing thresholds, homology computed, Betti symmetry checked,
+against the vanishing thresholds, homology computed, both sides' Morse
+numbers checked to bound the Betti numbers, Betti symmetry checked,
 and every admissible cycle witness for that n verified against the full face
 table.  Homology costs one Smith form per boundary: through n = 7 the
 non-vanishing dimensions are read over Z, beyond it from the ranks over Q
@@ -34,6 +35,7 @@ from .morse import (
     build_digraph,
     check_acyclic,
     check_thresholds,
+    morse_inequalities,
     morse_numbers,
     verify_certificate,
 )
@@ -163,6 +165,10 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     else:
         bt = betti_table(table, "Q")
         observed = nonzero_dims_via_ranks(table)
+    primal_ok, dual_ok = (
+        not side.violations and morse_inequalities(side.numbers, bt.betti).ok
+        for side in (primal, dual)
+    )
     witness_ok = all(
         verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
     )
@@ -170,8 +176,8 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
         n,
         tuple(sorted(expected_nonzero_dims(n))),
         tuple(sorted(observed)),
-        not primal.violations,
-        not dual.violations,
+        primal_ok,
+        dual_ok,
         primal.acyclic and dual.acyclic,
         check_betti_symmetry(bt),
         witness_ok,

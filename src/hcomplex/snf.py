@@ -5,7 +5,9 @@ elimination clears one pivot at a time, chosen greedily from the shortest
 rows with a fill-minimizing column (Markowitz-style).  Only pivots of
 absolute value 1 are used, so all arithmetic stays integral; rows that run
 out of unit entries are set aside and the survivors form a small residual
-that is finished by a dense reduction.
+that is finished by a dense reduction.  That reduction does not bound
+coefficient growth, so it refuses a residual of more than
+``DENSE_CELL_LIMIT`` cells with a ValueError.
 
 Clearing a pivot's column by row operations leaves that column with a single
 non-zero, so dropping the pivot row and column afterwards is a unimodular
@@ -24,6 +26,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 Rows = dict[int, dict[int, int]]
+
+DENSE_CELL_LIMIT = 10_000  # rows x columns the dense reduction accepts
 
 
 def rows_from_dense(dense: list[list[int]]) -> Rows:
@@ -114,6 +118,9 @@ def _dense_snf(rows: Rows) -> list[int]:
     if not rows:
         return []
     col_ids = sorted({j for row in rows.values() for j in row})
+    if len(rows) * len(col_ids) > DENSE_CELL_LIMIT:
+        shape = f"{len(rows)} x {len(col_ids)}"
+        raise ValueError(f"residual {shape} exceeds the dense limit of {DENSE_CELL_LIMIT} cells")
     cmap = {j: k for k, j in enumerate(col_ids)}
     m = [[0] * len(col_ids) for _ in rows]
     for k, row in enumerate(rows.values()):

@@ -386,6 +386,17 @@ def test_verifier_diagnoses_the_side_it_is_told(table, matching):
         assert verify_well_defined(t, mislabelled).violations
 
 
+def test_primal_verifier_diagnoses_the_faces_it_is_given():
+    # no core lookup on the primal side: an emptied index leaves it working
+    t = enumerate_faces(5)
+    m = build_matching(t)
+    t.cover_incidence()
+    t.id_of_core = {}
+    assert verify_well_defined(t, m).ok
+    with pytest.raises(KeyError):
+        verify_well_defined(t, build_matching(t, dual=True))
+
+
 def test_cleared_pairs_leave_later_matchings_unchanged():
     t = enumerate_faces(5)
     primal, dual = build_matching(t).pairs, build_matching(t, dual=True).pairs

@@ -2,9 +2,11 @@
 
 import pytest
 
+from hcomplex import reports
 from hcomplex.morse import (
     AcyclicityCertificate,
     MorseDigraph,
+    MorseNumbers,
     build_digraph,
     check_acyclic,
     check_thresholds,
@@ -134,3 +136,16 @@ def test_morse_inequalities(table, matching):
     numbers = morse_numbers(table(5), matching(5))
     assert morse_inequalities(numbers, betti_5).ok
     assert not morse_inequalities(numbers, {0: 1}).ok  # m_0 = 0 for n = 5
+
+
+def test_conjecture_row_checks_morse_inequalities(monkeypatch):
+    # Morse numbers of zero cannot bound the non-zero Betti numbers
+    def all_zero(table, matching):
+        numbers = MorseNumbers(table.n, matching.dual, (0,) * table.n)
+        return reports.MatchingSide((), numbers, True, "")
+
+    assert reports.conjecture_row(5).verdict == "PASS"
+    monkeypatch.setattr(reports, "check_matching_side", all_zero)
+    row = reports.conjecture_row(5)
+    assert not row.primal_morse_ok and not row.dual_morse_ok
+    assert row.verdict == "FAIL"

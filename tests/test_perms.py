@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcomplex.perms import (
@@ -60,6 +60,104 @@ def test_face_validation_rejects_non_descent_bars():
         BarredFace(3, ((0, 1), (2, 3, 4)))  # 1 < 2 is an ascent
     with pytest.raises(ValueError):
         BarredFace(3, ((0, 2, 1), (3, 4)))  # block not increasing
+
+
+def _five_condition_check(n, blocks):
+    """Reference oracle for the face rule, five hand-derived conditions:
+    non-empty blocks, increasing blocks, a tiling of 0..n+1, the two
+    sentinels, and a descent at every bar.  Raises ValueError."""
+    if not blocks or any(not b for b in blocks):
+        raise ValueError("blocks must be non-empty")
+    for b in blocks:
+        if any(x >= y for x, y in zip(b, b[1:])):
+            raise ValueError(f"block not strictly increasing: {b}")
+    word = tuple(x for b in blocks for x in b)
+    if len(word) != n + 2 or set(word) != set(range(n + 2)):
+        raise ValueError(f"blocks do not tile 0..{n + 1}: {blocks}")
+    if blocks[0][0] != 0:
+        raise ValueError("block 0 must contain the sentinel 0")
+    if blocks[-1][-1] != n + 1:
+        raise ValueError(f"last block must contain the sentinel {n + 1}")
+    for left, right in zip(blocks, blocks[1:]):
+        if left[-1] < right[0]:
+            raise ValueError(f"bar between {left} and {right} is not a descent")
+
+
+def _rejects(build, n, blocks):
+    try:
+        build(n, blocks)
+    except ValueError:
+        return True
+    return False
+
+
+def _cut(word, cuts):
+    ends = sorted(cuts) + [len(word)]
+    return tuple(tuple(word[a:b]) for a, b in zip([0] + ends, ends))
+
+
+MUTATIONS = (
+    "none", "empty block", "duplicated letter", "moved sentinel", "wrong n", "swap across bar"
+)
+sized_cores = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(1, n + 1)))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sized_cores, st.booleans(), st.sampled_from(MUTATIONS), st.data())
+def test_face_rule_rejects_exactly_what_the_five_conditions_reject(
+    n_core, at_descents, mutation, data
+):
+    n, core = n_core
+    word = [0, *core, n + 1]
+    if mutation == "duplicated letter":  # a copy overwrites a letter or is inserted
+        i, j = data.draw(st.lists(st.integers(0, n + 1), min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            word[i] = word[j]
+        else:
+            word.insert(i, word[j])
+    elif mutation == "moved sentinel":
+        letter = data.draw(st.sampled_from((0, n + 1)))
+        word.remove(letter)
+        word.insert(data.draw(st.integers(0, n + 1)), letter)
+    if at_descents:
+        cuts = {i for i in range(1, n + 2) if word[i - 1] > word[i]}
+    else:
+        cuts = data.draw(st.sets(st.integers(1, n + 1)))
+    blocks = _cut(word, cuts)
+    if mutation == "empty block":
+        i = data.draw(st.integers(0, len(blocks)))
+        blocks = blocks[:i] + ((),) + blocks[i:]
+    elif mutation == "wrong n":
+        n = data.draw(st.integers(-1, 12).filter(lambda m: m != n))
+    elif mutation == "swap across bar" and len(blocks) > 1:
+        i = data.draw(st.integers(0, len(blocks) - 2))
+        left, right = blocks[i], blocks[i + 1]
+        swapped = (left[:-1] + right[:1], left[-1:] + right[1:])
+        blocks = blocks[:i] + swapped + blocks[i + 2:]
+    assert _rejects(BarredFace, n, blocks) == _rejects(_five_condition_check, n, blocks)
+
+
+def test_face_rule_agrees_with_the_five_conditions_exhaustively():
+    # every cut of every sentinel word for n <= 5: valid exactly at the descents
+    for n in range(1, 6):
+        for core in permutations(range(1, n + 1)):
+            word = (0, *core, n + 1)
+            for k in range(n + 2):
+                for cuts in combinations(range(1, n + 2), k):
+                    blocks = _cut(word, cuts)
+                    rejected = _rejects(BarredFace, n, blocks)
+                    assert rejected == _rejects(_five_condition_check, n, blocks)
+                    assert rejected == (blocks != blocks_of_word(word))
+
+
+def test_face_blocks_must_be_a_tuple_of_tuples():
+    face = BarredFace(3, ((0, 1, 2, 3, 4),))
+    hash(face)
+    for blocks in ([[0, 1, 2, 3, 4]], [(0, 1, 2, 3, 4)], ([0, 1, 2, 3, 4],)):
+        with pytest.raises(ValueError, match="blocks_of_word"):
+            BarredFace(3, blocks)
 
 
 def test_perm_face_round_trip_exhaustive():

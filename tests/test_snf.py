@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,13 @@ def test_unit_heavy_sparse_matrix():
     sparse = rows_from_dense(dense)
     assert smith_normal_form(sparse) == sympy_invariants(dense)
     assert rank_q(smith_normal_form(sparse)) == sympy.Matrix(dense).rank()
+
+
+def test_dense_fallback_refuses_a_large_residual():
+    # no unit pivot, so the whole 101 x 100 matrix reaches the dense reduction
+    with pytest.raises(ValueError, match="101 x 100"):
+        smith_normal_form(rows_from_dense([[2] * 100 for _ in range(101)]))
+    assert smith_normal_form(rows_from_dense([[2] * 100 for _ in range(100)])) == (2,)
 
 
 def test_field_ranks_never_import_numpy(subprocess_env):
