@@ -62,8 +62,8 @@ from .perms import (
     BarredFace,
     MatchableType,
     Permutation,
-    classify_interval,
     complement,
+    diagnose_word,
     face_from_chain,
     face_from_perm,
     lowest_matchable,

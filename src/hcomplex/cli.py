@@ -143,7 +143,9 @@ def _run_report(args: argparse.Namespace, fmt: str) -> int:
     report = ConjectureReport(tuple(rows))
     _emit(render_report(report, fmt), args.out)
     if not report.all_pass:
-        print("falsified: some row did not PASS", file=sys.stderr)
+        for row in report.rows:
+            if row.failed_checks():
+                print(f"falsified: n={row.n}: {', '.join(row.failed_checks())}", file=sys.stderr)
         return 1
     return 0
 

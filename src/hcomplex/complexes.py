@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .perms import BarredFace, Permutation, blocks_of_word, face_from_perm
+from .perms import BarredFace, Permutation, face_from_perm
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
 
@@ -96,10 +96,10 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     faces: list[BarredFace] = []
     id_of_core: dict[tuple[int, ...], int] = {}
     sentinel = (n + 1,)
+    from_word = BarredFace.from_word
     for core in itertools.permutations(range(1, n + 1)):
-        word = (0,) + core + sentinel
         id_of_core[core] = len(faces)
-        faces.append(BarredFace(n, blocks_of_word(word)))
+        faces.append(from_word(n, (0,) + core + sentinel))
     return FaceTable(n, faces, id_of_core)
 
 
@@ -107,8 +107,8 @@ def covers_down(table: FaceTable, f: BarredFace) -> list[int]:
     """The ids of the faces covered by f, in bar order: entry i erases bar i.
 
     Erasing a bar sorts the two runs of the word it separates into one; the
-    sorted word is looked up in the table.  Raises ValueError unless the face
-    found there has exactly one block fewer than f.
+    sorted word is looked up in the table.  Raises AssertionError unless the
+    face found there has dimension one less than f (one block fewer).
 
     >>> t = enumerate_faces(3)
     >>> covers_down(t, t.faces[5])
@@ -116,17 +116,14 @@ def covers_down(table: FaceTable, f: BarredFace) -> list[int]:
     """
     core = f.word[1:-1]
     ids, faces = table.id_of_core, table.faces
-    bars = len(f.blocks) - 1  # also the block count of every face below
-    # ends[i]: word position just past block i, so core position just past
-    # block i is ends[i] - 1 (slicing clamps the last block's end)
-    ends = list(itertools.accumulate(map(len, f.blocks)))
+    # core positions where the blocks start, and the end of the last block
+    cuts = [0, *(i for i in range(1, len(core)) if core[i - 1] > core[i]), len(core)]
     lowers = []
-    for bar in range(bars):
-        lo = ends[bar - 1] - 1 if bar else 0
-        hi = ends[bar + 1] - 1
+    for bar in range(len(cuts) - 2):
+        lo, hi = cuts[bar], cuts[bar + 2]
         lower = ids[core[:lo] + tuple(sorted(core[lo:hi])) + core[hi:]]
-        if len(faces[lower].blocks) != bars:
-            raise ValueError(
+        if faces[lower].dim != f.dim - 1:
+            raise AssertionError(
                 f"erasing bar {bar} of {f!r} gives {faces[lower]!r}, "
                 "not a face with one block fewer"
             )
@@ -274,7 +271,7 @@ def lex_shelling_check(n: int, max_n: int | None = 8) -> ShellingReport:
             for c in new
             if all(c[:i] + c[i + 1:] in seen for i in range(len(c)))
         ]
-        face = BarredFace(n, blocks_of_word((0,) + core + (n + 1,)))
+        face = BarredFace.from_word(n, (0,) + core + (n + 1,))
         expected = face.chain()
         if len(minimal_new) != 1:
             failures.append(f"{core}: {len(minimal_new)} minimal new faces")

@@ -248,6 +248,20 @@ class SignedChain:
         return len(self.coeffs)
 
 
+def _erase_bar(blocks: tuple[Block, ...], i: int) -> tuple[Block, ...]:
+    """The blocks with bar i erased: blocks i and i+1 sorted into one.
+
+    Raises ValueError if the merged block meets an ascent at the bar below
+    or above it, which no valid face allows.
+    """
+    merged = tuple(sorted(blocks[i] + blocks[i + 1]))
+    if (i and blocks[i - 1][-1] < merged[0]) or (
+        i + 2 < len(blocks) and merged[-1] < blocks[i + 2][0]
+    ):
+        raise ValueError(f"erasing bar {i} of {blocks} dissolves a neighbouring bar")
+    return blocks[:i] + (merged,) + blocks[i + 2:]
+
+
 def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
@@ -265,14 +279,8 @@ def boundary_of_chain(chain: SignedChain) -> SignedChain:
     acc: dict[tuple[Block, ...], int] = {}
     for face, c in chain.coeffs.items():
         blocks = face.blocks
-        bars = len(blocks) - 1
-        for i in range(bars):
-            merged = tuple(sorted(blocks[i] + blocks[i + 1]))
-            if (i and blocks[i - 1][-1] < merged[0]) or (
-                i + 1 < bars and merged[-1] < blocks[i + 2][0]
-            ):
-                raise ValueError(f"erasing bar {i} of {face!r} dissolves a neighbouring bar")
-            key = blocks[:i] + (merged,) + blocks[i + 2:]
+        for i in range(len(blocks) - 1):
+            key = _erase_bar(blocks, i)
             acc[key] = acc.get(key, 0) + (c if i % 2 == 0 else -c)
     return SignedChain(
         chain.n, chain.dim - 1, {BarredFace(chain.n, b): v for b, v in acc.items() if v}

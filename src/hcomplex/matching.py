@@ -7,7 +7,7 @@ the block, inserting one.  The bars either side of the pair keep their
 state, so matched faces are a cover pair and the moves are mutually inverse.
 
 The dual matching applies the same rules to the order-reversed structure
-(maximal decreasing runs, bars at ascents): the complemented face
+(maximal decreasing runs, bars at ascents): the complemented word
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
 word.  Complement reverses the lex order of face ids, so the dual pairs are
 the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
@@ -23,19 +23,8 @@ from array import array
 from dataclasses import dataclass
 
 from .complexes import FaceTable
-from .perms import (
-    BarredFace,
-    IntervalDiagnosis,
-    MatchableType,
-    blocks_of_word,
-    complement,
-    decreasing_runs,
-    face_from_perm,
-    lowest_matchable,
-    perm_from_face,
-)
+from .perms import BarredFace, MatchableType, complement_word, diagnose_word
 
-_SPLIT_KINDS = (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT)
 _PAIRED_KIND = {
     MatchableType.ONE_SPLIT: MatchableType.ONE_MERGED,
     MatchableType.ONE_MERGED: MatchableType.ONE_SPLIT,
@@ -54,17 +43,10 @@ def _is_adjacent_swap(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
     )
 
 
-def _swap(f: BarredFace, probe: BarredFace, diag: IntervalDiagnosis) -> BarredFace:
-    """The face of f's word with letters p, p+1 swapped, p read off the
-    diagnosis of probe (f, or its complement for the dual).  The bar at rank
-    p+1 toggles; raises AssertionError unless the sentinels stay put and the
-    bars at ranks p and p+2 keep their state."""
-    p = diag.start_rank if diag.block_index else 0  # the block's first letter
-    m = len(probe.blocks[diag.block_index])
-    if diag.kind in _SPLIT_KINDS:
-        p += m - 1  # the pair across the bar above the block
-    elif diag.kind is MatchableType.TWO_MERGED:
-        p += m - 3  # cut b1 .. b(m-3) b(m-1) | b(m-2) bm; one-merged cuts b2 | b1 b3 ..
+def _swap(f: BarredFace, p: int) -> BarredFace:
+    """The face of f's word with the letters at positions p, p+1 swapped.
+    The bar at rank p+1 toggles; raises AssertionError unless the sentinels
+    stay put and the bars at ranks p and p+2 keep their state."""
     w = list(f.word)
     if not (
         1 <= p < f.n
@@ -73,7 +55,7 @@ def _swap(f: BarredFace, probe: BarredFace, diag: IntervalDiagnosis) -> BarredFa
     ):
         raise AssertionError(f"swapping word positions {p}, {p + 1} of {f} is not a cover move")
     w[p], w[p + 1] = w[p + 1], w[p]
-    return BarredFace(f.n, blocks_of_word(w))
+    return BarredFace.from_word(f.n, tuple(w))
 
 
 def partner(f: BarredFace) -> BarredFace | None:
@@ -86,8 +68,8 @@ def partner(f: BarredFace) -> BarredFace | None:
     >>> partner(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
     True
     """
-    diag = lowest_matchable(f)
-    return None if diag is None else _swap(f, f, diag)
+    diag = diagnose_word(f.word)
+    return None if diag is None else _swap(f, diag[3])
 
 
 def dual_partner(f: BarredFace) -> BarredFace | None:
@@ -98,9 +80,8 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
     >>> dual_partner(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
     True
     """
-    probe = face_from_perm(complement(perm_from_face(f)))
-    diag = lowest_matchable(probe)
-    return None if diag is None else _swap(f, probe, diag)
+    diag = diagnose_word(complement_word(f.word))
+    return None if diag is None else _swap(f, diag[3])
 
 
 # -- whole-table matchings ----------------------------------------------------
@@ -145,9 +126,9 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
     """Unmatched face ids by dimension.
 
-    Checks the structural fingerprint of criticality: primal critical faces
-    have no block longer than 3; dual critical faces have no decreasing run
-    longer than 3.
+    Checks the structural fingerprint of criticality on the word: primal
+    critical faces have no increasing run longer than 3 letters (no block
+    longer than 3), dual critical faces no decreasing run longer than 3.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -159,10 +140,12 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
         if fid in matching.pairs:
             continue
         out[face.dim].append(fid)
+        w = face.word
+        fours = zip(w, w[1:], w[2:], w[3:])
         if matching.dual:
-            if any(len(r) > 3 for r in decreasing_runs(perm_from_face(face))):
+            if any(a > b > c > d for a, b, c, d in fours):
                 raise AssertionError(f"dual critical face {face} has a decreasing run > 3")
-        elif any(len(b) > 3 for b in face.blocks):
+        elif any(a < b < c < d for a, b, c, d in fours):
             raise AssertionError(f"critical face {face} has a block > 3")
     return out
 
@@ -182,8 +165,8 @@ class MatchingReport:
 def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingReport:
     """Confirm the matching is an involution by cover pairs one adjacent
     transposition apart whose members, diagnosed here on the side
-    ``matching.dual`` names (a primal face directly, a dual face through its
-    complemented core), share their lowest matchable rank with inverse types
+    ``matching.dual`` names (a primal face's word directly, a dual face's
+    complemented word), share their lowest matchable rank with inverse types
     (one-split with one-merged, two-merged with two-split).
 
     >>> from .complexes import enumerate_faces
@@ -206,20 +189,19 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(f.word, g.word):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        if matching.dual:  # diagnose the complemented faces, found by core
-            cores = (tuple(table.n + 1 - x for x in h.word[1:-1]) for h in (f, g))
-            f, g = (table.faces[table.id_of_core[c]] for c in cores)
-        df, dg = lowest_matchable(f), lowest_matchable(g)
+        words = (f.word, g.word)
+        if matching.dual:
+            words = map(complement_word, words)
+        df, dg = map(diagnose_word, words)
         if df is None or dg is None:
             violations.append(f"{fid}<->{gid}: matched face has no matchable block")
             continue
-        if df.start_rank != dg.start_rank:
+        (_, rank_f, kind_f, _), (_, rank_g, kind_g, _) = df, dg
+        if rank_f != rank_g:
+            violations.append(f"{fid}<->{gid}: ranks differ ({rank_f} vs {rank_g})")
+        if _PAIRED_KIND[kind_f] is not kind_g:
             violations.append(
-                f"{fid}<->{gid}: ranks differ ({df.start_rank} vs {dg.start_rank})"
-            )
-        if _PAIRED_KIND[df.kind] is not dg.kind:
-            violations.append(
-                f"{fid}<->{gid}: types {df.kind.value} and {dg.kind.value} not inverse"
+                f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse"
             )
     if len(pairs) % 2:
         violations.append("odd number of matched faces")

@@ -3,11 +3,15 @@
 A permutation a_1 .. a_n of {1..n} is carried as the word 0, a_1, .., a_n,
 n+1.  The slot between word positions i and i+1 is called rank i+1; because of
 the sentinels, descents (a letter larger than its successor) can occur only at
-ranks 2..n.  The face rule: the blocks of a barred face are the maximal
-increasing runs of a sentinel word (a permutation of 0..n+1 with 0 first and
-n+1 last), so every bar is a descent.  ``BarredFace`` accepts exactly that,
-blocks as a tuple of tuples.  A face with b blocks has dimension b - 2, so the
-identity word (one block) is the empty face.
+ranks 2..n.  A barred face is its sentinel word (a permutation of 0..n+1 with
+0 first and n+1 last): its blocks are the word's maximal increasing runs, so
+every bar is a descent.  ``BarredFace`` stores the word, and derives the
+blocks from it.  A face with b blocks has dimension b - 2, so the identity
+word (one block) is the empty face.
+
+The matching rules read the word too: ``diagnose_word`` finds the lowest
+matchable block in one pass over the run ends and names the adjacent swap
+that gives the matched face.
 
 >>> p = Permutation.from_core((1, 3, 2, 6, 5, 4))
 >>> p.word
@@ -22,8 +26,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import gt
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -37,6 +41,11 @@ def _check_sentinel_word(word: Sequence[int], n: int) -> None:
         raise ValueError(f"sentinels must be 0 and {n + 1}: {word}")
 
 
+def _check_tuple(word: object) -> None:
+    if type(word) is not tuple:
+        raise ValueError(f"word must be a tuple, not {type(word).__name__}: {word!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1..n} stored as its sentinel word 0, a_1..a_n, n+1."""
@@ -44,6 +53,7 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_tuple(self.word)
         if len(self.word) < 3:
             raise ValueError("word must contain at least one core letter")
         _check_sentinel_word(self.word, len(self.word) - 2)
@@ -75,43 +85,53 @@ class Permutation:
         return f"Permutation({''.join(map(str, self.core)) if self.n <= 9 else self.core})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BarredFace:
-    """Blocks of a sentinel word: maximal increasing runs, bars at descents.
+    """A face of the descent complex, stored as its sentinel word.
 
-    Valid exactly when the concatenated blocks form a sentinel word of
-    length n + 2 and ``blocks_of_word(word) == blocks``; anything else,
-    including list blocks, raises ValueError.  The face of 1324 (word
-    0 1 3 2 4 5):
+    The blocks are derived: the maximal increasing runs of the word, with a
+    bar at every descent.  ``BarredFace(n, blocks)`` accepts exactly the
+    blocks whose concatenation is a sentinel word of length n + 2 and for
+    which ``blocks_of_word(word) == blocks``; anything else, including list
+    blocks, raises ValueError.  ``BarredFace.from_word`` takes the word
+    itself.  Faces are equal when their n and words are.  The face of 1324
+    (word 0 1 3 2 4 5):
 
     >>> f = BarredFace(4, ((0, 1, 3), (2, 4, 5)))
-    >>> f.dim
-    0
-    >>> f.word
-    (0, 1, 3, 2, 4, 5)
+    >>> f.dim, f.word
+    (0, (0, 1, 3, 2, 4, 5))
+    >>> f == BarredFace.from_word(4, (0, 1, 3, 2, 4, 5))
+    True
     """
 
     n: int
-    blocks: tuple[Block, ...]
+    word: tuple[int, ...]
+    dim: int = field(compare=False)  # number of bars minus one
 
-    def __post_init__(self) -> None:
-        word = self.word
-        _check_sentinel_word(word, self.n)
-        if blocks_of_word(word) != self.blocks:
-            raise ValueError(f"blocks {self.blocks!r} != blocks_of_word({word})")
+    def __init__(self, n: int, blocks: tuple[Block, ...]) -> None:
+        word = tuple(itertools.chain.from_iterable(blocks))
+        _check_sentinel_word(word, n)
+        if blocks_of_word(word) != blocks:
+            raise ValueError(f"blocks {blocks!r} != blocks_of_word({word})")
+        _init_face(self, n, word, len(blocks) - 2)
 
-    @property
-    def word(self) -> tuple[int, ...]:
-        return tuple(itertools.chain.from_iterable(self.blocks))
+    @classmethod
+    def from_word(cls, n: int, word: tuple[int, ...]) -> "BarredFace":
+        """The face of a sentinel word; raises ValueError unless word is a
+        tuple permuting 0..n+1 with 0 first and n+1 last.
 
-    @property
-    def dim(self) -> int:
-        """Dimension: number of bars minus one.
-
-        >>> BarredFace(1, ((0, 1, 2),)).dim
+        >>> BarredFace.from_word(1, (0, 1, 2)).dim
         -1
         """
-        return len(self.blocks) - 2
+        _check_tuple(word)
+        _check_sentinel_word(word, n)
+        face = object.__new__(cls)
+        _init_face(face, n, word, sum(map(gt, word, word[1:])) - 1)
+        return face
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return blocks_of_word(self.word)
 
     def bar_ranks(self) -> tuple[int, ...]:
         """Ranks of the bars, i.e. the word length left of each bar.
@@ -119,7 +139,8 @@ class BarredFace:
         >>> BarredFace(4, ((0, 1, 3), (2, 4, 5))).bar_ranks()
         (3,)
         """
-        return tuple(itertools.accumulate(map(len, self.blocks[:-1])))
+        w = self.word
+        return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
     def chain(self) -> tuple[int, ...]:
         """The face as a chain of subsets of {1..n}, one bitmask per bar.
@@ -132,23 +153,29 @@ class BarredFace:
         """
         masks = []
         acc = 0
-        for b in self.blocks[:-1]:
-            for x in b:
-                acc |= 1 << x
-            masks.append(acc & ~1)  # drop the sentinel bit 0
+        for x, y in zip(self.word, self.word[1:]):
+            acc |= 1 << x
+            if x > y:
+                masks.append(acc & ~1)  # drop the sentinel bit 0
         return tuple(masks)
 
     def start_rank(self, block_index: int) -> int:
         """Rank of the bar below a block; 1 for block 0 by convention."""
         if block_index == 0:
             return 1
-        return sum(len(b) for b in self.blocks[:block_index])
+        return self.bar_ranks()[block_index - 1]
 
     def __repr__(self) -> str:
         if self.n <= 8:  # all letters are single digits
             body = "|".join("".join(map(str, b)) for b in self.blocks)
             return f"BarredFace({self.n}, {body})"
         return f"BarredFace({self.n}, {self.blocks})"
+
+
+def _init_face(face: BarredFace, n: int, word: tuple[int, ...], dim: int) -> None:
+    object.__setattr__(face, "n", n)
+    object.__setattr__(face, "word", word)
+    object.__setattr__(face, "dim", dim)
 
 
 def descent_ranks(p: Permutation) -> frozenset[int]:
@@ -181,7 +208,7 @@ def face_from_perm(p: Permutation) -> BarredFace:
     >>> face_from_perm(Permutation.from_core((2, 1)))
     BarredFace(2, 02|13)
     """
-    return BarredFace(p.n, blocks_of_word(p.word))
+    return BarredFace.from_word(p.n, p.word)
 
 
 def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
@@ -211,12 +238,22 @@ def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
 
 
 def perm_from_face(f: BarredFace) -> Permutation:
-    """Concatenate the blocks back into the underlying permutation.
+    """The underlying permutation: the face's word.
 
     >>> perm_from_face(BarredFace(2, ((0, 2), (1, 3))))
     Permutation(21)
     """
     return Permutation(f.word)
+
+
+def complement_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The sentinel word with its core letters a_i -> n+1-a_i.
+
+    >>> complement_word((0, 2, 1, 3, 4))
+    (0, 2, 3, 1, 4)
+    """
+    top = len(word) - 1
+    return (0, *map(top.__sub__, word[1:-1]), top)
 
 
 def complement(p: Permutation) -> Permutation:
@@ -228,8 +265,7 @@ def complement(p: Permutation) -> Permutation:
     >>> complement(Permutation.from_core((2, 1, 3)))
     Permutation(231)
     """
-    n = p.n
-    return Permutation.from_core(tuple(n + 1 - x for x in p.core))
+    return Permutation(complement_word(p.word))
 
 
 def decreasing_runs(p: Permutation) -> tuple[Block, ...]:
@@ -247,47 +283,6 @@ def decreasing_runs(p: Permutation) -> tuple[Block, ...]:
     return tuple(tuple(-v for v in run) for run in negated)
 
 
-def inversions_between(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of pairs x in a, y in b with x > y, for sorted blocks a, b.
-
-    >>> inversions_between((0, 1, 3), (2, 6))
-    1
-    >>> inversions_between((5,), (4, 7))
-    1
-    >>> inversions_between((2, 3), (1, 4))
-    2
-    """
-    return sum(len(a) - bisect_right(a, y) for y in b)
-
-
-def s_count(f: BarredFace, block_index: int) -> int:
-    """Size of the maximal run of 2-blocks immediately above a block whose
-    only inversions against the block and each other are the separating
-    descents.
-
-    >>> f = BarredFace(9, ((0, 1, 2, 3, 6), (5, 8), (7, 9), (4, 10)))
-    >>> s_count(f, 0)
-    2
-    >>> s_count(f, 1)
-    1
-    """
-    blocks = f.blocks
-    prev = blocks[block_index]
-    seen_max = -1  # max letter over the block and all accepted runs but prev
-    count = 0
-    for cand in blocks[block_index + 1:]:
-        if len(cand) != 2:
-            break
-        if inversions_between(prev, cand) != 1:
-            break
-        if seen_max > cand[0]:
-            break
-        count += 1
-        seen_max = max(seen_max, prev[-1])
-        prev = cand
-    return count
-
-
 class MatchableType(enum.Enum):
     ONE_SPLIT = "one-split"
     ONE_MERGED = "one-merged"
@@ -295,50 +290,58 @@ class MatchableType(enum.Enum):
     TWO_SPLIT = "two-split"
 
 
-def _one_merged_shape(below: Block | None, block: Block) -> bool:
-    """The one-merged test: even size >= 4 and the largest letter below the
-    block beats its two smallest letters."""
-    if below is None or len(block) < 4 or len(block) % 2:
-        return False
-    return below[-1] > block[0] and below[-1] > block[1]
+def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] | None:
+    """Lowest matchable block of a sentinel word, or None for a critical face.
 
+    Returns (block index, start rank, match type, p): swapping the letters
+    at word positions p and p+1 gives the matched face.  One pass over the
+    blocks (maximal increasing runs) from the bottom; with m the block size
+    and s the number of 2-blocks above it whose bars are the only
+    inversions of that run, the first clause to hold is:
 
-def classify_interval(f: BarredFace, block_index: int) -> MatchableType | None:
-    """Match type of one block, or None.  Clauses are checked in the order
-    one-split, one-merged, two-merged, two-split; they are mutually exclusive
-    but the order keeps the rule mechanical.
+    - one-split: m = 1, and the block above has odd size >= 3 and a second
+      letter above this one; p is the block's letter;
+    - one-merged: m even >= 4, and the block below ends above the second
+      letter; p is the block's first position;
+    - two-merged: m >= 4 and s even; p cuts b1..b(m-3) b(m-1) | b(m-2) bm;
+    - two-split: m >= 2 and s odd, unless m is even and the block below ends
+      above the second letter of the block merged with the one above; p is
+      the block's last position.
 
-    >>> classify_interval(BarredFace(3, ((0, 1, 3), (2, 4))), 0)
-    <MatchableType.TWO_SPLIT: 'two-split'>
-    >>> classify_interval(BarredFace(3, ((0, 2), (1, 3, 4))), 0) is None
+    >>> diagnose_word((0, 1, 2, 3, 4))
+    (0, 1, <MatchableType.TWO_MERGED: 'two-merged'>, 2)
+    >>> diagnose_word((0, 2, 1, 3, 4)) is None
     True
     """
-    blocks = f.blocks
-    block = blocks[block_index]
-    below = blocks[block_index - 1] if block_index > 0 else None
-    above = blocks[block_index + 1] if block_index + 1 < len(blocks) else None
-
-    if (
-        len(block) == 1
-        and above is not None
-        and len(above) >= 3
-        and len(above) % 2 == 1
-        and inversions_between(block, above) == 1
-    ):
-        return MatchableType.ONE_SPLIT
-    if _one_merged_shape(below, block):
-        return MatchableType.ONE_MERGED
-    s = s_count(f, block_index)
-    if len(block) >= 4 and s % 2 == 0:
-        return MatchableType.TWO_MERGED
-    if (
-        len(block) >= 2
-        and s % 2 == 1
-        and above is not None
-        and inversions_between(block, above) == 1
-        and not _one_merged_shape(below, tuple(sorted(block + above)))
-    ):
-        return MatchableType.TWO_SPLIT
+    ends = [i for i in range(1, len(word)) if word[i - 1] > word[i]]
+    ends.append(len(word))
+    start = 0
+    for i, end in enumerate(ends):
+        m = end - start
+        if m == 1:
+            if i + 1 < len(ends):
+                above = ends[i + 1] - end
+                if above >= 3 and above % 2 and word[start] < word[end + 1]:
+                    return i, start, MatchableType.ONE_SPLIT, start
+        else:
+            if m >= 4 and not m % 2 and i and word[start - 1] > word[start + 1]:
+                return i, start, MatchableType.ONE_MERGED, start
+            # s: a 2-block c0 c1 joins when the block before it ends x y with
+            # x < c0 and y < c1, and the block before that ends below c0
+            s, seen, hi = 0, -1, end
+            for top in ends[i + 1:]:
+                c0 = word[hi]
+                if top - hi != 2 or word[hi - 2] > c0 or word[hi - 1] > word[hi + 1] or seen > c0:
+                    break
+                s, seen, hi = s + 1, word[hi - 1], top
+            if s % 2 == 0:
+                if m >= 4:
+                    return i, start or 1, MatchableType.TWO_MERGED, start + m - 3
+            elif not (
+                i and not m % 2 and word[start - 1] > word[start + 1 if m > 2 else end]
+            ):
+                return i, start or 1, MatchableType.TWO_SPLIT, end - 1
+        start = end
     return None
 
 
@@ -360,8 +363,5 @@ def lowest_matchable(f: BarredFace) -> IntervalDiagnosis | None:
     >>> lowest_matchable(BarredFace(3, ((0, 1, 2, 3, 4),)))
     IntervalDiagnosis(block_index=0, start_rank=1, kind=<MatchableType.TWO_MERGED: 'two-merged'>)
     """
-    for i in range(len(f.blocks)):
-        kind = classify_interval(f, i)
-        if kind is not None:
-            return IntervalDiagnosis(i, f.start_rank(i), kind)
-    return None
+    diag = diagnose_word(f.word)
+    return None if diag is None else IntervalDiagnosis(*diag[:3])

@@ -125,17 +125,22 @@ class ConjectureRow:
     symmetry_ok: bool
     witness_ok: bool
 
+    def failed_checks(self) -> tuple[str, ...]:
+        """The payload names of the checks this row fails; the window check
+        is named by its observed dimensions."""
+        flags = {
+            "observedNonzeroDims": self.expected == self.observed,
+            "primalMorseOk": self.primal_morse_ok,
+            "dualMorseOk": self.dual_morse_ok,
+            "acyclicOk": self.acyclic_ok,
+            "symmetryOk": self.symmetry_ok,
+            "witnessOk": self.witness_ok,
+        }
+        return tuple(name for name, ok in flags.items() if not ok)
+
     @property
     def verdict(self) -> str:
-        flags = (
-            self.expected == self.observed,
-            self.primal_morse_ok,
-            self.dual_morse_ok,
-            self.acyclic_ok,
-            self.symmetry_ok,
-            self.witness_ok,
-        )
-        return "PASS" if all(flags) else "FAIL"
+        return "FAIL" if self.failed_checks() else "PASS"
 
 
 @dataclass(frozen=True, slots=True)

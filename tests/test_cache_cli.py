@@ -121,6 +121,57 @@ def test_cli_falsification_exits_1(capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
+def test_cli_broken_cover_relation_is_a_falsification(capsys, monkeypatch):
+    from hcomplex import reports
+    from hcomplex.complexes import FaceTable
+
+    enumerate_faces = reports.enumerate_faces
+
+    def swapped(n, max_n):
+        t = enumerate_faces(n, max_n)
+        if n < 4:
+            return t
+        faces = list(t.faces)
+        faces[1], faces[-1] = faces[-1], faces[1]
+        return FaceTable(n, faces, dict(t.id_of_core))
+
+    monkeypatch.setattr("hcomplex.reports.enumerate_faces", swapped)
+    assert main(["report", "--n-max", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("falsified: ") and "one block fewer" in err
+
+
+def test_cli_report_names_each_failing_row(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from hcomplex import reports
+
+    check_matching_side = reports.check_matching_side
+    # the rows with both primal flags false, rendered as the table to expect
+    rows = tuple(
+        replace(r, primal_morse_ok=False) if r.n in (3, 5) else r
+        for r in (reports.conjecture_row(n) for n in range(1, 7))
+    )
+    for argv in (["report", "--n-max", "6"], ["conjecture", "--n-max", "6"]):
+        monkeypatch.undo()
+        assert main(argv) == 0
+        passing = capsys.readouterr().out
+
+        def broken_primal(table, matching):
+            side = check_matching_side(table, matching)
+            if table.n in (3, 5) and not matching.dual:
+                return replace(side, violations=("forced",))
+            return side
+
+        monkeypatch.setattr("hcomplex.reports.check_matching_side", broken_primal)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "falsified: n=3: primalMorseOk\nfalsified: n=5: primalMorseOk\n"
+        fmt = "json" if argv[0] == "report" else "md"
+        assert captured.out == reports.render_report(reports.ConjectureReport(rows), fmt)
+        assert captured.out != passing
+
+
 def test_cli_conjecture_table(capsys):
     assert main(["conjecture", "--n-max", "5"]) == 0
     out = capsys.readouterr().out

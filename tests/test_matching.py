@@ -1,6 +1,7 @@
 """The discrete matching: involution structure, type pairing, dual mirror."""
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from math import factorial
 
@@ -19,10 +20,11 @@ from hcomplex.matching import (
 )
 from hcomplex.perms import (
     BarredFace,
-    IntervalDiagnosis,
     MatchableType,
     Permutation,
     complement,
+    complement_word,
+    diagnose_word,
     face_from_perm,
     lowest_matchable,
     perm_from_face,
@@ -34,6 +36,94 @@ PAIRED = {
     MatchableType.TWO_MERGED: MatchableType.TWO_SPLIT,
     MatchableType.TWO_SPLIT: MatchableType.TWO_MERGED,
 }
+
+
+# -- the matching rules read off the blocks: an oracle ------------------------
+#
+# The clauses as stated on tuples of blocks, with inversion counts between
+# blocks.  diagnose_word reads the same rules at the run ends of the word.
+
+
+def inversions_between(a, b) -> int:
+    """Number of pairs x in a, y in b with x > y, for sorted blocks a, b.
+
+    >>> inversions_between((0, 1, 3), (2, 6))
+    1
+    >>> inversions_between((2, 3), (1, 4))
+    2
+    """
+    return sum(len(a) - bisect_right(a, y) for y in b)
+
+
+def s_count(f: BarredFace, block_index: int) -> int:
+    """Size of the maximal run of 2-blocks immediately above a block whose
+    only inversions against the block and each other are the separating
+    descents."""
+    blocks = f.blocks
+    prev = blocks[block_index]
+    seen_max = -1  # max letter over the block and all accepted runs but prev
+    count = 0
+    for cand in blocks[block_index + 1:]:
+        if len(cand) != 2:
+            break
+        if inversions_between(prev, cand) != 1:
+            break
+        if seen_max > cand[0]:
+            break
+        count += 1
+        seen_max = max(seen_max, prev[-1])
+        prev = cand
+    return count
+
+
+def _one_merged_shape(below, block) -> bool:
+    """The one-merged test: even size >= 4 and the largest letter below the
+    block beats its two smallest letters."""
+    if below is None or len(block) < 4 or len(block) % 2:
+        return False
+    return below[-1] > block[0] and below[-1] > block[1]
+
+
+def classify_interval(f: BarredFace, block_index: int) -> MatchableType | None:
+    """Match type of one block, or None.  Clauses are checked in the order
+    one-split, one-merged, two-merged, two-split."""
+    blocks = f.blocks
+    block = blocks[block_index]
+    below = blocks[block_index - 1] if block_index > 0 else None
+    above = blocks[block_index + 1] if block_index + 1 < len(blocks) else None
+
+    if (
+        len(block) == 1
+        and above is not None
+        and len(above) >= 3
+        and len(above) % 2 == 1
+        and inversions_between(block, above) == 1
+    ):
+        return MatchableType.ONE_SPLIT
+    if _one_merged_shape(below, block):
+        return MatchableType.ONE_MERGED
+    s = s_count(f, block_index)
+    if len(block) >= 4 and s % 2 == 0:
+        return MatchableType.TWO_MERGED
+    if (
+        len(block) >= 2
+        and s % 2 == 1
+        and above is not None
+        and inversions_between(block, above) == 1
+        and not _one_merged_shape(below, tuple(sorted(block + above)))
+    ):
+        return MatchableType.TWO_SPLIT
+    return None
+
+
+def diagnosis_by_blocks(f: BarredFace):
+    """(block index, start rank, match type) of the lowest matchable block,
+    or None."""
+    for i in range(len(f.blocks)):
+        kind = classify_interval(f, i)
+        if kind is not None:
+            return i, f.start_rank(i), kind
+    return None
 
 
 # -- the matching computed by block surgery: an oracle ------------------------
@@ -81,13 +171,13 @@ def split_block(f: BarredFace, block_index: int, mode: SplitMode) -> BarredFace:
 
 def partner_by_surgery(f: BarredFace) -> BarredFace | None:
     """Same map as partner, computed by merging or splitting blocks."""
-    diag = lowest_matchable(f)
+    diag = diagnosis_by_blocks(f)
     if diag is None:
         return None
-    i = diag.block_index
-    if diag.kind in (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT):
+    i, _, kind = diag
+    if kind in (MatchableType.ONE_SPLIT, MatchableType.TWO_SPLIT):
         return merge_blocks(f, i)
-    if diag.kind is MatchableType.ONE_MERGED:
+    if kind is MatchableType.ONE_MERGED:
         return split_block(f, i, SplitMode.SINGLETON)
     return split_block(f, i, SplitMode.PAIR)
 
@@ -170,6 +260,17 @@ def _classify_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> MatchableType
         and not _one_merged_shape_desc(below, tuple(sorted(block + above, reverse=True)))
     ):
         return MatchableType.TWO_SPLIT
+    return None
+
+
+def dual_diagnosis_by_runs(f: BarredFace):
+    """(run index, start rank, match type) of the lowest matchable
+    decreasing run of the mirrored word, or None."""
+    blocks = _desc_runs((f.n + 1,) + f.word[1:-1] + (0,))
+    for i in range(len(blocks)):
+        kind = _classify_desc(blocks, i)
+        if kind is not None:
+            return i, sum(map(len, blocks[:i])) or 1, kind
     return None
 
 
@@ -275,14 +376,14 @@ def test_partners_equal_block_surgery(table):
     "diag",
     [
         # swapping letters 2, 4 of 0 3 2 4 1 5 erases the bar at rank 2 too
-        IntervalDiagnosis(1, 2, MatchableType.ONE_MERGED),
+        (1, 2, MatchableType.ONE_MERGED, 2),
         # swapping the sentinel 0 with the letter after it
-        IntervalDiagnosis(0, 1, MatchableType.ONE_MERGED),
+        (0, 1, MatchableType.ONE_MERGED, 0),
     ],
 )
 def test_partner_guard_rejects_a_swap_that_moves_a_neighbouring_bar(monkeypatch, diag):
     f = BarredFace(4, ((0, 3), (2, 4), (1, 5)))
-    monkeypatch.setattr("hcomplex.matching.lowest_matchable", lambda face: diag)
+    monkeypatch.setattr("hcomplex.matching.diagnose_word", lambda word: diag)
     with pytest.raises(AssertionError, match="not a cover move"):
         partner(f)
     with pytest.raises(AssertionError, match="not a cover move"):
@@ -367,11 +468,11 @@ def test_build_matching_diagnoses_each_face_once(monkeypatch):
 
         monkeypatch.setattr(matching_module, name, wrapper)
 
-    counted("lowest_matchable")
+    counted("diagnose_word")
     counted("partner")
     t = enumerate_faces(6)
     build_matching(t)
-    assert calls == {"lowest_matchable": 720, "partner": 720}
+    assert calls == {"diagnose_word": 720, "partner": 720}
     calls.clear()
     build_matching(t, dual=True)
     assert not calls
@@ -387,14 +488,13 @@ def test_verifier_diagnoses_the_side_it_is_told(table, matching):
 
 
 def test_primal_verifier_diagnoses_the_faces_it_is_given():
-    # no core lookup on the primal side: an emptied index leaves it working
+    # no core lookup on either side: an emptied index leaves both working
     t = enumerate_faces(5)
-    m = build_matching(t)
+    primal, dual = build_matching(t), build_matching(t, dual=True)
     t.cover_incidence()
     t.id_of_core = {}
-    assert verify_well_defined(t, m).ok
-    with pytest.raises(KeyError):
-        verify_well_defined(t, build_matching(t, dual=True))
+    assert verify_well_defined(t, primal).ok
+    assert verify_well_defined(t, dual).ok
 
 
 def test_cleared_pairs_leave_later_matchings_unchanged():
@@ -404,3 +504,38 @@ def test_cleared_pairs_leave_later_matchings_unchanged():
     primal.clear()
     dual.clear()
     assert (build_matching(t).pairs, build_matching(t, dual=True).pairs) == expected
+
+
+def _swap_position(v, w):
+    """p such that w is v with the letters at p, p+1 swapped."""
+    diff = [i for i, (x, y) in enumerate(zip(v, w)) if x != y]
+    assert len(diff) == 2 and diff[1] == diff[0] + 1, (v, w)
+    return diff[0]
+
+
+def assert_word_diagnosis_equals_oracles(f):
+    """Both sides: diagnose_word on the word (primal) and on the complemented
+    word (dual) against the block oracle and the mirrored-run oracle, with
+    the swap position read off the partner that block surgery builds."""
+    for word, diagnosis, by_surgery in (
+        (f.word, diagnosis_by_blocks, partner_by_surgery),
+        (complement_word(f.word), dual_diagnosis_by_runs, dual_partner_by_runs),
+    ):
+        got, want = diagnose_word(word), diagnosis(f)
+        if want is None:
+            assert got is None, (f, got)
+        else:
+            assert got[:3] == want, (f, got, want)
+            assert got[3] == _swap_position(f.word, by_surgery(f).word), (f, got)
+
+
+def test_word_diagnosis_equals_block_oracle_through_n8(table):
+    for n in range(1, 9):
+        for f in table(n).faces:
+            assert_word_diagnosis_equals_oracles(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BIG_PERMUTATIONS)
+def test_word_diagnosis_equals_block_oracle_beyond_enumeration(core):
+    assert_word_diagnosis_equals_oracles(face_from_perm(Permutation.from_core(core)))

@@ -11,19 +11,25 @@ from hcomplex.perms import (
     MatchableType,
     Permutation,
     blocks_of_word,
-    classify_interval,
     complement,
     decreasing_runs,
     descent_ranks,
     face_from_chain,
     face_from_perm,
-    inversions_between,
     lowest_matchable,
     perm_from_face,
-    s_count,
 )
-# the block surgery that partner replaced is kept as a test oracle
-from test_matching import SplitMode, merge_blocks, split_block, split_sorted_block
+# the block-level matching rules and the block surgery that the word-level
+# diagnosis and partner replaced are kept as test oracles
+from test_matching import (
+    SplitMode,
+    classify_interval,
+    inversions_between,
+    merge_blocks,
+    s_count,
+    split_block,
+    split_sorted_block,
+)
 
 
 def all_faces(n):
@@ -38,6 +44,38 @@ def test_word_carries_sentinels():
         Permutation((0, 1, 1, 2, 4))
     with pytest.raises(ValueError):
         Permutation((1, 2, 3))
+
+
+def test_words_must_be_tuples():
+    # a list word would build an unhashable value unequal to the tuple one
+    with pytest.raises(ValueError, match="tuple"):
+        Permutation([0, 2, 1, 3])
+    with pytest.raises(ValueError, match="tuple"):
+        BarredFace.from_word(2, [0, 2, 1, 3])
+    assert BarredFace.from_word(2, (0, 2, 1, 3)) == BarredFace(2, ((0, 2), (1, 3)))
+
+
+def test_from_word_rejects_what_is_not_a_sentinel_word():
+    for n, word in ((2, (0, 1, 1, 3)), (2, (1, 0, 2, 3)), (3, (0, 2, 1, 3)), (2, (0, 2, 1))):
+        with pytest.raises(ValueError):
+            BarredFace.from_word(n, word)
+
+
+def test_from_word_equals_the_blocks_constructor_exhaustively():
+    for n in range(1, 7):
+        for core in permutations(range(1, n + 1)):
+            word = (0, *core, n + 1)
+            f, g = BarredFace.from_word(n, word), BarredFace(n, blocks_of_word(word))
+            assert f == g and hash(f) == hash(g)
+            assert (f.n, f.word, f.dim, f.blocks) == (g.n, g.word, g.dim, g.blocks)
+            assert f.dim == len(blocks_of_word(word)) - 2
+
+
+def test_faces_are_immutable():
+    f = BarredFace(2, ((0, 2), (1, 3)))
+    for name, value in (("n", 3), ("word", (0, 1, 2, 3)), ("dim", -1)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
 
 
 def test_descents_only_at_inner_ranks():
