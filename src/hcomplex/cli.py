@@ -69,6 +69,7 @@ def _json(payload: dict) -> str:
 
 
 def _table(args: argparse.Namespace, n: int) -> FaceTable:
+    _require(args.unsafe_budget or n <= ENUM_CEILING, f"n={n} exceeds n<={ENUM_CEILING}")
     start = time.monotonic()
     table = enumerate_faces(n, max_n=n)
     _note(args, f"enumerated {len(table.faces)} faces in {time.monotonic()-start:.2f}s")
@@ -76,13 +77,11 @@ def _table(args: argparse.Namespace, n: int) -> FaceTable:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
     _emit(_json(face_table_payload(_table(args, args.n))), args.out)
     return 0
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
     table = _table(args, args.n)
     matching = build_matching(table, dual=args.dual)
     report = verify_well_defined(table, matching)
@@ -93,7 +92,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_morse(args: argparse.Namespace) -> int:
-    _require(args.unsafe_budget or args.n <= ENUM_CEILING, f"n={args.n} exceeds n<={ENUM_CEILING}")
     table = _table(args, args.n)
     side = check_matching_side(table, build_matching(table, dual=args.dual))
     if side.violations:

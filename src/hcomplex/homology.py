@@ -12,11 +12,14 @@ Reduced homology is read off the Smith normal form of the boundary matrices,
     betti~_d = f_d - rank d_d - rank d_{d+1},
     torsion of H~_d = invariant factors > 1 of d_{d+1},
 
-exactly over Z.  Each boundary's invariant factors are computed once per
-face table (``invariant_factors``) and every coefficient ring reads the same
-tuple, by the universal coefficient theorem: rank_Q counts the factors and
-rank_p counts those p does not divide, so H~_d has p-torsion exactly when
-rank_p d_{d+1} < rank_Q d_{d+1}.
+exactly over Z.  ``invariant_factors`` eliminates each boundary once per
+face table, and every coefficient ring reads the same tuple by the universal
+coefficient theorem: rank_Q counts the factors and rank_p those p does not
+divide, so H~_d has p-torsion exactly when rank_p d_{d+1} < rank_Q d_{d+1}.
+It works top down from d = n-2, one row per d-face holding its boundary, and
+clears: the unit pivots of d_{d+1} span a unimodular block, so as d_d d_{d+1}
+is 0 the rows of d_d at those d-faces are integer combinations of the others,
+and dropping them keeps the invariant factors.  Only unit pivots clear.
 
 >>> t = enumerate_faces(3)
 >>> betti_table(t).betti
@@ -28,10 +31,10 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .complexes import FaceTable, enumerate_faces
-from .perms import BarredFace, Block
+from .perms import BarredFace
 from .snf import Rows, rank_mod_p, rank_q, smith_normal_form, transpose_rows
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
@@ -43,22 +46,27 @@ class BoundaryMatrix:
     """The matrix of d_dim, rows indexed by (dim-1)-faces, columns by dim-faces.
 
     Row and column indices are positions within the per-dimension id lists of
-    the face table, not global face ids.
+    the face table, not global face ids.  It is stored by column: ``cols``
+    holds each dim-face's boundary, and ``rows`` is its transpose.
     """
 
     n: int
     dim: int
     n_rows: int
     n_cols: int
-    rows: Rows
+    cols: Rows
+
+    @property
+    def rows(self) -> Rows:
+        return transpose_rows(self.cols)
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
+        return sum(map(len, self.cols.values()))
 
 
-def boundary_matrix(table: FaceTable, dim: int) -> BoundaryMatrix:
-    """Assemble d_dim for the face table.
+def boundary_matrix(table: FaceTable, dim: int, skip: Collection[int] = ()) -> BoundaryMatrix:
+    """Assemble d_dim for the face table, leaving the columns in ``skip`` empty.
 
     >>> bm = boundary_matrix(enumerate_faces(3), 0)
     >>> bm.n_rows, bm.n_cols, bm.nnz  # every vertex maps to +[empty]
@@ -66,24 +74,21 @@ def boundary_matrix(table: FaceTable, dim: int) -> BoundaryMatrix:
     """
     by_dim = table.ids_by_dim()
     covers = table.cover_incidence()
-    col_ids = by_dim.get(dim, [])
-    row_pos = {g: k for k, g in enumerate(by_dim.get(dim - 1, []))}
-    rows: Rows = {}
-    for c, g in enumerate(col_ids):
-        # erasing bar i deletes chain element i: sign (-1)^i
-        for i, lower in enumerate(covers[g]):
-            rows.setdefault(row_pos[lower], {})[c] = 1 if i % 2 == 0 else -1
-    return BoundaryMatrix(table.n, dim, len(row_pos), len(col_ids), rows)
-
-
-def _tall(bm: BoundaryMatrix) -> Rows:
-    # rank and invariant factors survive transposing; hand the engine the
-    # orientation whose rows are sparser
-    return bm.rows if bm.n_rows >= bm.n_cols else transpose_rows(bm.rows)
+    col_ids, row_ids = by_dim.get(dim, []), by_dim.get(dim - 1, [])
+    row_pos = {g: k for k, g in enumerate(row_ids)}.__getitem__
+    signs = (1, -1) * table.n  # erasing bar i deletes chain element i: (-1)^i
+    cols: Rows = {
+        c: dict(zip(map(row_pos, covers[g]), signs))
+        for c, g in enumerate(col_ids) if c not in skip
+    }
+    return BoundaryMatrix(table.n, dim, len(row_ids), len(col_ids), cols)
 
 
 def invariant_factors(table: FaceTable, dim: int) -> tuple[int, ...]:
     """Non-zero invariant factors of d_dim, one Smith form per face table.
+
+    The first call computes every dimension, top down with clearing (see
+    the module docstring), and memoizes the factors on the table.
 
     >>> t = enumerate_faces(4)
     >>> invariant_factors(t, 1)  # rank 8 over every ring, no torsion
@@ -92,9 +97,13 @@ def invariant_factors(table: FaceTable, dim: int) -> tuple[int, ...]:
     True
     """
     memo = table._invariants
-    if dim not in memo:
-        memo[dim] = smith_normal_form(_tall(boundary_matrix(table, dim)))
-    return memo[dim]
+    if not memo:
+        cleared: set[int] = set()
+        for d in range(table.n - 2, -1, -1):
+            pivots: list[int] = []
+            memo[d] = smith_normal_form(boundary_matrix(table, d, cleared).cols, pivots)
+            cleared = set(pivots)
+    return memo.get(dim, ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,40 +257,40 @@ class SignedChain:
         return len(self.coeffs)
 
 
-def _erase_bar(blocks: tuple[Block, ...], i: int) -> tuple[Block, ...]:
-    """The blocks with bar i erased: blocks i and i+1 sorted into one.
+def _erase_bar(word: tuple[int, ...], cuts: list[int], i: int) -> tuple[int, ...]:
+    """The word with bar i erased: the two runs it separates sorted into one.
 
-    Raises ValueError if the merged block meets an ascent at the bar below
-    or above it, which no valid face allows.
+    ``cuts`` holds the start of each run and the word's length.  Raises
+    ValueError if the merged run meets an ascent at the bar below or above
+    it, which no valid face allows.
     """
-    merged = tuple(sorted(blocks[i] + blocks[i + 1]))
-    if (i and blocks[i - 1][-1] < merged[0]) or (
-        i + 2 < len(blocks) and merged[-1] < blocks[i + 2][0]
-    ):
-        raise ValueError(f"erasing bar {i} of {blocks} dissolves a neighbouring bar")
-    return blocks[:i] + (merged,) + blocks[i + 2:]
+    lo, hi = cuts[i], cuts[i + 2]
+    merged = sorted(word[lo:hi])
+    if (lo and word[lo - 1] < merged[0]) or (hi < len(word) and merged[-1] < word[hi]):
+        raise ValueError(f"erasing bar {i} of {word} at {cuts} dissolves a neighbouring bar")
+    return word[:lo] + tuple(merged) + word[hi:]
 
 
 def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
-    Erasing bar i of a face sorts blocks i and i+1 into one block, with sign
-    (-1)^i, the rule ``covers_down`` applies on the table.  Terms are summed
-    by their blocks, and only those with a non-zero coefficient become
-    faces.  Raises ValueError if a merge dissolves a neighbouring bar, which
-    no valid face allows.
+    Erasing bar i of a face sorts the two runs of its word that the bar
+    separates into one, with sign (-1)^i, the rule ``covers_down`` applies
+    on the table.  Terms are summed by their words, and only those with a
+    non-zero coefficient become faces.  Raises ValueError if a merge
+    dissolves a neighbouring bar, which no valid face allows.
 
     >>> from .perms import Permutation, face_from_perm
     >>> f = face_from_perm(Permutation.from_core((2, 1, 3)))
     >>> sorted(repr(g) for g in boundary_of_chain(SignedChain(3, 0, {f: 1})).coeffs)
     ['BarredFace(3, 01234)']
     """
-    acc: dict[tuple[Block, ...], int] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for face, c in chain.coeffs.items():
-        blocks = face.blocks
-        for i in range(len(blocks) - 1):
-            key = _erase_bar(blocks, i)
+        word = face.word
+        cuts = [0, *(i for i in range(1, len(word)) if word[i - 1] > word[i]), len(word)]
+        for i in range(len(cuts) - 2):
+            key = _erase_bar(word, cuts, i)
             acc[key] = acc.get(key, 0) + (c if i % 2 == 0 else -c)
-    return SignedChain(
-        chain.n, chain.dim - 1, {BarredFace(chain.n, b): v for b, v in acc.items() if v}
-    )
+    n = chain.n
+    return SignedChain(n, chain.dim - 1, {BarredFace.from_word(n, w): v for w, v in acc.items() if v})

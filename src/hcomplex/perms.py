@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import gt
 from typing import Iterable, Sequence
 
@@ -85,7 +85,7 @@ class Permutation:
         return f"Permutation({''.join(map(str, self.core)) if self.n <= 9 else self.core})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class BarredFace:
     """A face of the descent complex, stored as its sentinel word.
 
@@ -104,9 +104,12 @@ class BarredFace:
     True
     """
 
+    # slots by hand: the class slots=True rebuilds raises TypeError instead of
+    # FrozenInstanceError when a name that is not a field is set (Python 3.11)
+    __slots__ = ("n", "word", "dim")
     n: int
     word: tuple[int, ...]
-    dim: int = field(compare=False)  # number of bars minus one
+    dim: int  # number of bars minus one, read off the word
 
     def __init__(self, n: int, blocks: tuple[Block, ...]) -> None:
         word = tuple(itertools.chain.from_iterable(blocks))
@@ -128,6 +131,9 @@ class BarredFace:
         face = object.__new__(cls)
         _init_face(face, n, word, sum(map(gt, word, word[1:])) - 1)
         return face
+
+    def __reduce__(self):
+        return BarredFace.from_word, (self.n, self.word)
 
     @property
     def blocks(self) -> tuple[Block, ...]:

@@ -12,7 +12,8 @@ coefficient growth, so it refuses a residual of more than
 Clearing a pivot's column by row operations leaves that column with a single
 non-zero, so dropping the pivot row and column afterwards is a unimodular
 reduction: the invariant factors of the original matrix are those of the
-residual plus one unit per pivot.
+residual plus one unit per pivot.  As only row operations clear pivots, the
+pivot rows and columns of the original matrix form a unimodular block.
 
 Every rank is read off those invariant factors, so there is one elimination
 path: ``rank_q`` and ``rank_mod_p`` take the factor tuple that
@@ -56,7 +57,7 @@ class _Eliminator:
                     self.cols.setdefault(j, set()).add(i)
         self.heap = [(len(row), i) for i, row in self.rows.items()]
         heapify(self.heap)
-        self.rank = 0
+        self.pivots: list[int] = []  # the column of each unit pivot, in order
 
     def _pick_col(self, row: dict[int, int]) -> int | None:
         best = None
@@ -91,7 +92,7 @@ class _Eliminator:
                 continue
             heappush(self.heap, (len(row), r))
         del cols[j]
-        self.rank += 1
+        self.pivots.append(j)
 
     def run(self) -> Rows:
         """Eliminate until no unit pivot remains; returns the residual."""
@@ -189,8 +190,10 @@ def _snf_kernel(m: list[list[int]]) -> list[int]:
     return invariants
 
 
-def smith_normal_form(rows: Rows) -> tuple[int, ...]:
+def smith_normal_form(rows: Rows, pivots: list[int] | None = None) -> tuple[int, ...]:
     """Non-zero invariant factors d_1 | d_2 | .. of an integer matrix.
+
+    A ``pivots`` list gets the column of each unit pivot appended.
 
     >>> smith_normal_form(rows_from_dense([[1, 0], [0, 1]]))
     (1, 1)
@@ -201,7 +204,9 @@ def smith_normal_form(rows: Rows) -> tuple[int, ...]:
     """
     engine = _Eliminator(rows)
     residual = engine.run()
-    return (1,) * engine.rank + tuple(_dense_snf(residual))
+    if pivots is not None:
+        pivots.extend(engine.pivots)
+    return (1,) * len(engine.pivots) + tuple(_dense_snf(residual))
 
 
 def rank_q(invariants: tuple[int, ...]) -> int:

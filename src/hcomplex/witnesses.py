@@ -83,19 +83,16 @@ def witness_spec(n: int, k: int) -> WitnessSpec:
         for t in range(kappa):
             blocks.append((j + 3 * t + 2, j + 3 * t + 4, j + 3 * t + 6))
         blocks.append((j + m - 2, j + m))
-    if len(blocks) == 1:
-        face = BarredFace(n, ((0,) + blocks[0] + (n + 1,),))
-    else:
-        face = BarredFace(
-            n, ((0,) + blocks[0],) + tuple(blocks[1:-1]) + (blocks[-1] + (n + 1,),)
-        )
-    if face.dim != k:
-        raise AssertionError(f"free face {face!r} has dimension {face.dim}, not {k}")
     gens = []
     pos = 0
     for b in blocks[: k + 1]:
         gens.append((pos + len(b) - 2, pos + len(b) - 1))
         pos += len(b)
+    blocks[0] = (0,) + blocks[0]
+    blocks[-1] = blocks[-1] + (n + 1,)
+    face = BarredFace(n, tuple(blocks))
+    if face.dim != k:
+        raise AssertionError(f"free face {face!r} has dimension {face.dim}, not {k}")
     return WitnessSpec(n, k, j, kappa, face, tuple(gens))
 
 

@@ -1,11 +1,13 @@
 """Boundary operators, exact homology, and the non-vanishing window."""
 
+from itertools import accumulate, chain, combinations
+
 import pytest
 import sympy
 
 import hcomplex.homology
 from hcomplex.homology import _erase_bar
-from hcomplex.complexes import alternating_eulerian, enumerate_faces
+from hcomplex.complexes import FaceTable, alternating_eulerian, enumerate_faces
 from hcomplex.homology import (
     COEFFICIENTS,
     SignedChain,
@@ -15,11 +17,15 @@ from hcomplex.homology import (
     check_betti_symmetry,
     check_conjecture,
     expected_nonzero_dims,
+    invariant_factors,
     nonzero_dims_over_z,
     nonzero_dims_via_ranks,
 )
 from hcomplex.perms import BarredFace, Permutation, face_from_chain, face_from_perm
+from hcomplex.snf import smith_normal_form, transpose_rows
 from hcomplex.witnesses import admissible_pairs, cycle_witness
+
+from test_snf import sympy_invariants
 
 BETTI = {
     1: {-1: 1},  # only the empty face: reduced homology in dimension -1
@@ -134,11 +140,13 @@ def test_boundary_of_witnesses_equals_chain_deletion():
     ],
 )
 def test_boundary_of_chain_guard_rejects_a_bar_at_an_ascent(blocks):
-    # a face's blocks are the runs of its word, so no face carries these;
-    # the guard boundary_of_chain runs on every bar is fed them directly
+    # boundary_of_chain cuts a word at its descents, so it never cuts one
+    # like these; the guard it runs on every bar is fed the cuts directly
+    word = tuple(chain.from_iterable(blocks))
+    cuts = [0, *accumulate(map(len, blocks))]
     with pytest.raises(ValueError, match="neighbouring bar"):
         for i in range(len(blocks) - 1):
-            _erase_bar(blocks, i)
+            _erase_bar(word, cuts, i)
 
 
 def test_boundary_matrix_golden_n3(table):
@@ -198,24 +206,90 @@ def test_field_betti_against_dense_gauss(table, gauss_rank_mod_p):
 
 
 def test_one_smith_form_per_boundary(monkeypatch):
-    calls = {"smith_normal_form": 0, "boundary_matrix": 0}
+    calls = []
 
-    def counting(name):
+    def recording(name):
         original = getattr(hcomplex.homology, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, result.dim if name == "boundary_matrix" else None))
+            return result
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(hcomplex.homology, name, counting(name))
+    for name in ("boundary_matrix", "smith_normal_form"):
+        monkeypatch.setattr(hcomplex.homology, name, recording(name))
     t = enumerate_faces(6)  # fresh: the session tables may hold factors already
     for c in COEFFICIENTS:
         betti_table(t, c)
     nonzero_dims_via_ranks(t)
-    assert calls == {"smith_normal_form": 5, "boundary_matrix": 5}  # dims 0..4
+    # one boundary and one Smith form per dimension, from the top down
+    assert calls == [
+        call for d in (4, 3, 2, 1, 0)
+        for call in (("boundary_matrix", d), ("smith_normal_form", None))
+    ]
+
+
+def uncleared_factors(t, dim):
+    """The invariant factors as computed before clearing: the whole d_dim, in
+    whichever orientation has the sparser rows."""
+    bm = boundary_matrix(t, dim)
+    return smith_normal_form(bm.rows if bm.n_rows >= bm.n_cols else transpose_rows(bm.rows))
+
+
+def test_clearing_changes_no_invariant_factor(table):
+    for n in range(1, 8):
+        t = table(n)
+        for d in range(0, n - 1):
+            assert invariant_factors(t, d) == uncleared_factors(t, d), (n, d)
+            if n <= 5:
+                theirs = sympy_invariants(dense(boundary_matrix(t, d)))
+                assert invariant_factors(t, d) == tuple(map(abs, theirs)), (n, d)
+
+
+def test_clearing_drops_the_pivots_of_the_boundary_above(monkeypatch):
+    # with no torsion, d_d keeps f_d - rank d_{d+1} of its columns
+    t = enumerate_faces(6)
+    kept = {}
+
+    def recording(table, dim, skip=()):
+        bm = boundary_matrix(table, dim, skip)
+        kept[dim] = len(bm.cols)
+        return bm
+
+    monkeypatch.setattr(hcomplex.homology, "boundary_matrix", recording)
+    invariant_factors(t, 0)
+    f = {d: len(ids) for d, ids in t.ids_by_dim().items()}
+    assert kept == {d: f[d] - len(invariant_factors(t, d + 1)) for d in range(0, 5)}
+    assert kept[0] < f[0] and kept[2] < f[2]
+
+
+def projective_plane():
+    """The 6-vertex real projective plane as a face table: 6 vertices, all 15
+    edges, 10 triangles; its reduced homology is Z/2 in dimension 1."""
+    triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+    cells = [()] + [(v,) for v in range(1, 7)] + list(combinations(range(1, 7), 2)) + triangles
+    ids = {s: i for i, s in enumerate(cells)}
+    # deleting vertex i of a simplex carries the sign (-1)^i, as erasing bar i does
+    covers = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] for s in cells]
+    by_dim = {d: [i for i, s in enumerate(cells) if len(s) == d + 1] for d in range(-1, 3)}
+    return FaceTable(4, [], {}, _covers=covers, _ids_by_dim=by_dim)
+
+
+def test_clearing_keeps_torsion_on_the_projective_plane():
+    t = projective_plane()
+    assert [len(t.ids_by_dim()[d]) for d in range(-1, 3)] == [1, 6, 15, 10]
+    assert invariant_factors(t, 2) == (1,) * 9 + (2,)
+    assert invariant_factors(t, 1) == (1,) * 5
+    assert invariant_factors(t, 0) == (1,)
+    bt = betti_table(t)
+    assert bt.betti == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert bt.torsion == {1: (2,)}
+    for c in ("Q", "F3", "F5"):
+        assert set(betti_table(t, c).betti.values()) == {0}
+    assert betti_table(t, "F2").betti == {-1: 0, 0: 0, 1: 1, 2: 1}
 
 
 def test_euler_characteristic_from_betti(table):

@@ -18,13 +18,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_report_is_the_same_under_python_O(subprocess_env):
-    argv = ["-m", "hcomplex.cli", "report", "--n-max", "6", "--no-cache"]
+def run_plain_and_optimized(env, *argv):
+    """Run the CLI with and without -O; both must exit 0."""
     plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=subprocess_env,
+        subprocess.run([sys.executable, *flags, "-m", "hcomplex.cli", *argv], env=env,
                        capture_output=True, text=True, timeout=300)
         for flags in ([], ["-O"])
     )
-    assert plain.returncode == 0 and "PASS" in plain.stdout, plain.stderr
+    assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout
+    return plain.stdout, optimized.stdout
+
+
+def test_report_is_the_same_under_python_O(subprocess_env):
+    plain, optimized = run_plain_and_optimized(
+        subprocess_env, "report", "--n-max", "6", "--no-cache")
+    assert "PASS" in plain
+    assert optimized == plain
+
+
+def test_homology_is_the_same_under_python_O(subprocess_env):
+    # the cleared Smith forms rest on no assert
+    plain, optimized = run_plain_and_optimized(
+        subprocess_env, "homology", "--n", "7", "--coefficients", "Z")
+    assert '"betti": [' in plain
+    assert optimized == plain

@@ -1,5 +1,8 @@
 """Core word/face machinery: oracles are brute force over small n."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
 import pytest
@@ -73,9 +76,16 @@ def test_from_word_equals_the_blocks_constructor_exhaustively():
 
 def test_faces_are_immutable():
     f = BarredFace(2, ((0, 2), (1, 3)))
-    for name, value in (("n", 3), ("word", (0, 1, 2, 3)), ("dim", -1)):
-        with pytest.raises(AttributeError):
+    # the stored fields, a derived property and a name the class lacks
+    for name, value in (("n", 3), ("word", (0, 1, 2, 3)), ("dim", -1),
+                        ("blocks", ((0, 1, 2, 3),)), ("foo", 1)):
+        with pytest.raises(FrozenInstanceError):
             setattr(f, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(f, name)
+    assert (f.n, f.word, f.dim) == (2, (0, 2, 1, 3), 0)
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert copied == f and copied.dim == f.dim
 
 
 def test_descents_only_at_inner_ranks():

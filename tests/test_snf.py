@@ -71,6 +71,27 @@ def test_rank_mod_p_matches_dense_gauss(gauss_rank_mod_p, dense, p):
     assert rank_mod_p(invariants, p) == gauss_rank_mod_p(dense, p)
 
 
+def test_pivots_name_the_unit_pivot_columns():
+    found = []
+    assert smith_normal_form(rows_from_dense([[0, 1], [2, 4]]), found) == (1, 2)
+    assert found == [1]  # the 2 the dense residual finds is no unit pivot
+    found = []
+    assert smith_normal_form(rows_from_dense([[2, 4], [0, 6]]), found) == (2, 6)
+    assert found == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices)
+def test_pivot_columns_span_a_unimodular_block(dense):
+    # the columns a Smith form reports as unit pivots have all invariant
+    # factors 1: some square block of them has determinant +-1
+    pivots = []
+    smith_normal_form(rows_from_dense(dense), pivots)
+    assert len(set(pivots)) == len(pivots)
+    block = [[row[j] for j in pivots] for row in dense]
+    assert tuple(abs(d) for d in sympy_invariants(block)) == (1,) * len(pivots)
+
+
 def test_transpose_invariance():
     rng = random.Random(7)
     for _ in range(30):
