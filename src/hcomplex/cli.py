@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -72,7 +73,9 @@ def _table(args: argparse.Namespace, n: int) -> FaceTable:
     _require(args.unsafe_budget or n <= ENUM_CEILING, f"n={n} exceeds n<={ENUM_CEILING}")
     start = time.monotonic()
     table = enumerate_faces(n, max_n=n)
-    _note(args, f"enumerated {len(table.faces)} faces in {time.monotonic()-start:.2f}s")
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    _note(args, f"enumerated {len(table.faces)} faces in {time.monotonic()-start:.2f}s, "
+          f"peak RSS {rss_mb:.1f} MB")
     return table
 
 

@@ -11,10 +11,11 @@ recomputes, definitionally, the minimal new face of every facet of the order
 complex of the lattice under the lexicographic shelling and confirms it is
 the descent chain.
 
-The cover relation (erase one bar) is computed once per face table, by one
-``covers_down`` call per face, and kept as ``FaceTable.cover_incidence``:
-per face id, the ids of the faces it covers, in bar order.  Both Morse
-digraphs, the free-face test and the signed boundary matrices all read it.
+The table holds each per-face value once: ``id_of_word`` is keyed by the word
+tuple each face stores, and the cover relation (erase one bar), computed by one
+``covers_down`` call per face, is kept as ``FaceTable.cover_incidence``: per
+face id, a tuple of the ids (the index's own ints) of the faces it covers, in
+bar order.  The Morse digraphs, the free-face test and the boundaries read it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class FaceTable:
 
     n: int
     faces: list[BarredFace]
-    id_of_core: dict[tuple[int, ...], int]
-    _covers: list[list[int]] | None = field(default=None, repr=False)
+    id_of_word: dict[tuple[int, ...], int]  # keys are the faces' own words
+    _covers: list[tuple[int, ...]] | None = field(default=None, repr=False)
     _partners: array | None = field(default=None, repr=False)
     _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
     _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
@@ -61,25 +62,26 @@ class FaceTable:
         return len(self.faces)
 
     def id_of_face(self, f: BarredFace) -> int:
-        return self.id_of_core[f.word[1:-1]]
+        return self.id_of_word[f.word]
 
-    def cover_incidence(self) -> list[list[int]]:
+    def cover_incidence(self) -> list[tuple[int, ...]]:
         """Per face id, the ids of the faces it covers, in bar order.
 
         Erasing bar i carries the boundary sign (-1)^i.  Built on first use
         with one ``covers_down`` call per face.
 
         >>> enumerate_faces(3).cover_incidence()
-        [[], [0], [0], [0], [0], [3, 4]]
+        [(), (0,), (0,), (0,), (0,), (3, 4)]
         """
         if self._covers is None:
             self._covers = [covers_down(self, f) for f in self.faces]
         return self._covers
 
     def ids_by_dim(self) -> dict[int, list[int]]:
+        """Face ids by dimension, the int objects ``id_of_word`` holds."""
         if self._ids_by_dim is None:
             out: dict[int, list[int]] = {d: [] for d in range(-1, self.n - 1)}
-            for i, f in enumerate(self.faces):
+            for f, i in zip(self.faces, self.id_of_word.values()):
                 out[f.dim].append(i)
             self._ids_by_dim = out
         return self._ids_by_dim
@@ -93,42 +95,38 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     (6, [-1, 0, 0, 0, 0, 1])
     """
     _check_budget(n, max_n, "face enumeration")
-    faces: list[BarredFace] = []
-    id_of_core: dict[tuple[int, ...], int] = {}
-    sentinel = (n + 1,)
-    from_word = BarredFace.from_word
-    for core in itertools.permutations(range(1, n + 1)):
-        id_of_core[core] = len(faces)
-        faces.append(from_word(n, (0,) + core + sentinel))
-    return FaceTable(n, faces, id_of_core)
+    sentinel, from_word = (n + 1,), BarredFace.from_word
+    cores = itertools.permutations(range(1, n + 1))
+    faces = [from_word(n, (0,) + core + sentinel) for core in cores]
+    return FaceTable(n, faces, {f.word: i for i, f in enumerate(faces)})
 
 
-def covers_down(table: FaceTable, f: BarredFace) -> list[int]:
+def covers_down(table: FaceTable, f: BarredFace) -> tuple[int, ...]:
     """The ids of the faces covered by f, in bar order: entry i erases bar i.
 
     Erasing a bar sorts the two runs of the word it separates into one; the
-    sorted word is looked up in the table.  Raises AssertionError unless the
-    face found there has dimension one less than f (one block fewer).
+    sorted word is looked up in ``id_of_word``.  Raises AssertionError unless
+    the face found there has dimension one less than f (one block fewer).
 
     >>> t = enumerate_faces(3)
     >>> covers_down(t, t.faces[5])
-    [3, 4]
+    (3, 4)
     """
-    core = f.word[1:-1]
-    ids, faces = table.id_of_core, table.faces
-    # core positions where the blocks start, and the end of the last block
-    cuts = [0, *(i for i in range(1, len(core)) if core[i - 1] > core[i]), len(core)]
+    word = f.word
+    ids, faces = table.id_of_word, table.faces
+    # word positions where the blocks start, and the end of the last block
+    cuts = [0, *(i for i in range(1, len(word)) if word[i - 1] > word[i]), len(word)]
     lowers = []
     for bar in range(len(cuts) - 2):
         lo, hi = cuts[bar], cuts[bar + 2]
-        lower = ids[core[:lo] + tuple(sorted(core[lo:hi])) + core[hi:]]
+        lower = ids[word[:lo] + tuple(sorted(word[lo:hi])) + word[hi:]]
         if faces[lower].dim != f.dim - 1:
             raise AssertionError(
                 f"erasing bar {bar} of {f!r} gives {faces[lower]!r}, "
                 "not a face with one block fewer"
             )
         lowers.append(lower)
-    return lowers
+    return tuple(lowers)
 
 
 def is_free_face(table: FaceTable, f: BarredFace) -> bool:

@@ -30,18 +30,18 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Collection, Mapping
 
 from .complexes import FaceTable, enumerate_faces
-from .perms import BarredFace
+from .perms import BarredFace, frozen_slots
 from .snf import Rows, rank_mod_p, rank_q, smith_normal_form, transpose_rows
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
 _FIELD_CHAR = {"F2": 2, "F3": 3, "F5": 5}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class BoundaryMatrix:
     """The matrix of d_dim, rows indexed by (dim-1)-faces, columns by dim-faces.
 
@@ -106,7 +106,7 @@ def invariant_factors(table: FaceTable, dim: int) -> tuple[int, ...]:
     return memo.get(dim, ())
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class BettiTable:
     n: int
     coefficients: str
@@ -202,7 +202,7 @@ def nonzero_dims_via_ranks(
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class ConjectureCheck:
     n: int
     expected: tuple[int, ...]
@@ -235,7 +235,7 @@ def check_betti_symmetry(bt: BettiTable) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class SignedChain:
     """An integer chain: faces of one dimension with non-zero coefficients."""
 

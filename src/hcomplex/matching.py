@@ -113,8 +113,8 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        found = map(partner, table.faces)
-        table._partners = array("i", (-1 if g is None else table.id_of_face(g) for g in found))
+        ids, found = table.id_of_word, map(partner, table.faces)
+        table._partners = array("i", (-1 if g is None else ids[g.word] for g in found))
     if dual:
         last = len(table.faces) - 1
         pairs = {f: last - g for f, g in enumerate(table._partners[::-1]) if g >= 0}

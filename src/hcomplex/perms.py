@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import gt
 from typing import Iterable, Sequence
 
@@ -46,7 +46,19 @@ def _check_tuple(word: object) -> None:
         raise ValueError(f"word must be a tuple, not {type(word).__name__}: {word!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_slots(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``, but every set or delete raises
+    FrozenInstanceError (alone, it raises TypeError for a non-field name)."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+def _refuse(self: object, name: str, *_: object) -> None:
+    raise FrozenInstanceError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+
+@frozen_slots
 class Permutation:
     """A permutation of {1..n} stored as its sentinel word 0, a_1..a_n, n+1."""
 
@@ -85,7 +97,7 @@ class Permutation:
         return f"Permutation({''.join(map(str, self.core)) if self.n <= 9 else self.core})"
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@frozen_slots
 class BarredFace:
     """A face of the descent complex, stored as its sentinel word.
 
@@ -104,9 +116,6 @@ class BarredFace:
     True
     """
 
-    # slots by hand: the class slots=True rebuilds raises TypeError instead of
-    # FrozenInstanceError when a name that is not a field is set (Python 3.11)
-    __slots__ = ("n", "word", "dim")
     n: int
     word: tuple[int, ...]
     dim: int  # number of bars minus one, read off the word
@@ -351,7 +360,7 @@ def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] 
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class IntervalDiagnosis:
     """Lowest matchable block of a face: index, rank of its lower bar, and
     the match type."""

@@ -19,7 +19,6 @@ inputs give byte-identical serializations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .complexes import FaceTable, enumerate_faces
 from .homology import (
@@ -39,6 +38,7 @@ from .morse import (
     morse_numbers,
     verify_certificate,
 )
+from .perms import frozen_slots
 from .witnesses import admissible_pairs, verify_witness
 
 RENDER_FORMATS = ("json", "csv", "md")
@@ -71,7 +71,7 @@ def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
     return {"n": table.n, "dual": matching.dual, "pairs": pairs, "critical": critical}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class MatchingSide:
     """One matching, checked: well-definedness and threshold failures, Morse
     numbers, and whether the digraph certificate is acyclic and re-checks."""
@@ -114,7 +114,7 @@ def betti_payload(bt: BettiTable) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class ConjectureRow:
     n: int
     expected: tuple[int, ...]
@@ -143,7 +143,7 @@ class ConjectureRow:
         return "FAIL" if self.failed_checks() else "PASS"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class ConjectureReport:
     rows: tuple[ConjectureRow, ...]
 

@@ -23,12 +23,11 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import FaceTable, is_free_face
 from .homology import SignedChain, boundary_of_chain
-from .perms import BarredFace, Permutation, face_from_chain, face_from_perm
+from .perms import BarredFace, Permutation, face_from_chain, face_from_perm, frozen_slots
 
 
 def admissible_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -45,7 +44,7 @@ def admissible_pairs(n_max: int) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class WitnessSpec:
     """The free face plus the swap positions generating the cycle terms.
 
@@ -160,7 +159,7 @@ def has_local_parent(face: BarredFace) -> bool:
     return False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slots
 class WitnessReport:
     """The checks of one witness, with the free face and cycle they ran on."""
 

@@ -133,7 +133,7 @@ def test_cli_broken_cover_relation_is_a_falsification(capsys, monkeypatch):
             return t
         faces = list(t.faces)
         faces[1], faces[-1] = faces[-1], faces[1]
-        return FaceTable(n, faces, dict(t.id_of_core))
+        return FaceTable(n, faces, dict(t.id_of_word))
 
     monkeypatch.setattr("hcomplex.reports.enumerate_faces", swapped)
     assert main(["report", "--n-max", "4"]) == 1
@@ -225,3 +225,17 @@ def test_cli_leaves_no_files_behind(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == plain, argv
         assert list(old_cache.iterdir()) == [], argv
         assert list(cwd.iterdir()) == [], argv
+
+
+def test_cli_verbose_notes_peak_rss_on_stderr_only(capsys):
+    import re
+
+    assert main(["morse", "--n", "4"]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(["morse", "--n", "4", "-v"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    note = re.fullmatch(r"enumerated 24 faces in \d+\.\d\ds, peak RSS (\d+\.\d) MB\n", loud.err)
+    assert note, loud.err
+    assert 1 < float(note.group(1)) < 100_000

@@ -98,7 +98,7 @@ def test_covers_down_rejects_a_table_with_swapped_faces():
     top = len(faces) - 1
     assert faces[1].dim == 0 and faces[top].dim == 2
     faces[1], faces[top] = faces[top], faces[1]
-    bad = FaceTable(4, faces, dict(t.id_of_core))
+    bad = FaceTable(4, faces, dict(t.id_of_word))
     with pytest.raises(AssertionError, match="one block fewer"):
         for f in bad.faces:
             covers_down(bad, f)
