@@ -11,7 +11,6 @@ coefficient.
 from math import factorial
 
 from hcomplex import (
-    Permutation,
     alternating_eulerian,
     enumerate_faces,
     euler_characteristic,
@@ -23,9 +22,8 @@ from hcomplex import (
 )
 
 # one permutation, one face: bars sit exactly at the descents
-p = Permutation.from_core((2, 1, 4, 6, 5, 3))
-f = face_from_perm(p)
-print(f"word {p.word} -> face {f} (dim {f.dim})")
+f = face_from_perm((2, 1, 4, 6, 5, 3))
+print(f"word {f.word} -> face {f} (dim {f.dim})")
 print(f"chain of prefix-set bitmasks: {f.chain()}")
 
 # the whole complex for n = 4: 24 faces, one per permutation

@@ -2,7 +2,8 @@
 
 Subcommands: build, match, morse, homology, witness, conjecture, report.
 Exit codes: 0 when everything checks out, 1 when a verification is falsified,
-2 on usage or resource errors (including the size ceilings).
+2 on usage, resource or I/O errors (the size ceilings, an ``--out`` that
+cannot be written).
 
 Hard ceilings keep accidental big runs out: enumeration and matching stop at
 n = 9, homology and the aggregate reports at n = 8, and cycle witnesses
@@ -129,6 +130,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _run_report(args: argparse.Namespace, fmt: str) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if not args.time_budget >= 0:
+        raise ValueError(f"--time-budget must be 0 (off) or positive, got {args.time_budget}")
     _require(
         args.unsafe_budget or args.n_max <= HOMOLOGY_CEILING,
         f"n-max={args.n_max} exceeds homology ceiling n<={HOMOLOGY_CEILING}",
@@ -233,7 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"falsified: internal invariant broke: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, ValueError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .perms import BarredFace, Permutation, face_from_perm
+from .perms import BarredFace, face_from_perm
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
 
@@ -137,9 +137,9 @@ def is_free_face(table: FaceTable, f: BarredFace) -> bool:
     having no cover.
 
     >>> t = enumerate_faces(3)
-    >>> is_free_face(t, face_from_perm(Permutation.from_core((1, 3, 2))))
+    >>> is_free_face(t, face_from_perm((1, 3, 2)))
     True
-    >>> is_free_face(t, face_from_perm(Permutation.from_core((1, 2, 3))))
+    >>> is_free_face(t, face_from_perm((1, 2, 3)))
     False
     """
     fid = table.id_of_face(f)

@@ -7,18 +7,20 @@ ranks 2..n.  A barred face is its sentinel word (a permutation of 0..n+1 with
 0 first and n+1 last): its blocks are the word's maximal increasing runs, so
 every bar is a descent.  ``BarredFace`` stores the word, and derives the
 blocks from it.  A face with b blocks has dimension b - 2, so the identity
-word (one block) is the empty face.
+word (one block) is the empty face.  There is no separate permutation type:
+``face_from_perm`` takes the one-line notation a_1 .. a_n, ``bar_ranks``
+gives the descents and ``complement_word`` the complement.
 
 The matching rules read the word too: ``diagnose_word`` finds the lowest
 matchable block in one pass over the run ends and names the adjacent swap
 that gives the matched face.
 
->>> p = Permutation.from_core((1, 3, 2, 6, 5, 4))
->>> p.word
+>>> f = face_from_perm((1, 3, 2, 6, 5, 4))
+>>> f.word
 (0, 1, 3, 2, 6, 5, 4, 7)
->>> sorted(descent_ranks(p))
-[3, 5, 6]
->>> face_from_perm(p).blocks
+>>> f.bar_ranks()
+(3, 5, 6)
+>>> f.blocks
 ((0, 1, 3), (2, 6), (5,), (4, 7))
 """
 
@@ -28,13 +30,16 @@ import enum
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from operator import gt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Block = tuple[int, ...]
 
 
 def _check_sentinel_word(word: Sequence[int], n: int) -> None:
-    """Raise ValueError unless word permutes 0..n+1 with 0 first, n+1 last."""
+    """Raise ValueError unless n >= 1 and word permutes 0..n+1 with 0 first,
+    n+1 last."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if len(word) != n + 2 or set(word) != set(range(n + 2)):
         raise ValueError(f"not a permutation of 0..{n + 1}: {word}")
     if not word or word[0] != 0 or word[-1] != n + 1:
@@ -56,45 +61,6 @@ def frozen_slots(cls: type) -> type:
 
 def _refuse(self: object, name: str, *_: object) -> None:
     raise FrozenInstanceError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
-
-
-@frozen_slots
-class Permutation:
-    """A permutation of {1..n} stored as its sentinel word 0, a_1..a_n, n+1."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_tuple(self.word)
-        if len(self.word) < 3:
-            raise ValueError("word must contain at least one core letter")
-        _check_sentinel_word(self.word, len(self.word) - 2)
-
-    @classmethod
-    def from_core(cls, core: Iterable[int]) -> "Permutation":
-        """Build from the one-line notation a_1 .. a_n.
-
-        >>> Permutation.from_core([2, 1]).word
-        (0, 2, 1, 3)
-        """
-        core = tuple(core)
-        return cls((0,) + core + (len(core) + 1,))
-
-    @property
-    def n(self) -> int:
-        return len(self.word) - 2
-
-    @property
-    def core(self) -> tuple[int, ...]:
-        """One-line notation without sentinels.
-
-        >>> Permutation((0, 2, 1, 3)).core
-        (2, 1)
-        """
-        return self.word[1:-1]
-
-    def __repr__(self) -> str:
-        return f"Permutation({''.join(map(str, self.core)) if self.n <= 9 else self.core})"
 
 
 @frozen_slots
@@ -193,18 +159,6 @@ def _init_face(face: BarredFace, n: int, word: tuple[int, ...], dim: int) -> Non
     object.__setattr__(face, "dim", dim)
 
 
-def descent_ranks(p: Permutation) -> frozenset[int]:
-    """Ranks i+1 with word[i] > word[i+1]; always a subset of 2..n.
-
-    >>> sorted(descent_ranks(Permutation.from_core((1, 3, 2, 6, 5, 4))))
-    [3, 5, 6]
-    >>> descent_ranks(Permutation.from_core((1, 2, 3)))
-    frozenset()
-    """
-    w = p.word
-    return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
     """Cut a word into maximal increasing runs."""
     blocks: list[Block] = []
@@ -217,13 +171,16 @@ def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def face_from_perm(p: Permutation) -> BarredFace:
-    """The minimal shelling face of a permutation: bars at its descents.
+def face_from_perm(core: Sequence[int]) -> BarredFace:
+    """The minimal shelling face of a permutation a_1 .. a_n (one-line
+    notation): bars at its descents.  Raises ValueError unless core permutes
+    1..n.
 
-    >>> face_from_perm(Permutation.from_core((2, 1)))
+    >>> face_from_perm((2, 1))
     BarredFace(2, 02|13)
     """
-    return BarredFace.from_word(p.n, p.word)
+    n = len(core)
+    return BarredFace.from_word(n, (0, *core, n + 1))
 
 
 def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
@@ -232,7 +189,7 @@ def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
     Raises ValueError if the masks are not a strictly increasing chain of
     proper non-empty subsets of {1..n}, or if some bar is not a descent.
 
-    >>> f = face_from_perm(Permutation.from_core((2, 1, 3)))
+    >>> f = face_from_perm((2, 1, 3))
     >>> face_from_chain(3, f.chain()) == f
     True
     >>> face_from_chain(2, ())
@@ -252,50 +209,17 @@ def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
     return BarredFace(n, tuple(blocks))
 
 
-def perm_from_face(f: BarredFace) -> Permutation:
-    """The underlying permutation: the face's word.
-
-    >>> perm_from_face(BarredFace(2, ((0, 2), (1, 3))))
-    Permutation(21)
-    """
-    return Permutation(f.word)
-
-
 def complement_word(word: tuple[int, ...]) -> tuple[int, ...]:
     """The sentinel word with its core letters a_i -> n+1-a_i.
+
+    Exchanges ascents and descents at ranks 2..n, so the face dimension maps
+    to n-3-dim.
 
     >>> complement_word((0, 2, 1, 3, 4))
     (0, 2, 3, 1, 4)
     """
     top = len(word) - 1
     return (0, *map(top.__sub__, word[1:-1]), top)
-
-
-def complement(p: Permutation) -> Permutation:
-    """Reverse the value order of the core letters: a_i -> n+1-a_i.
-
-    Exchanges ascents and descents at ranks 2..n, so the face dimension maps
-    to n-3-dim.
-
-    >>> complement(Permutation.from_core((2, 1, 3)))
-    Permutation(231)
-    """
-    return Permutation(complement_word(p.word))
-
-
-def decreasing_runs(p: Permutation) -> tuple[Block, ...]:
-    """Maximal decreasing runs of the sentinel word; bars at the ascents.
-
-    The sentinels always stand alone since 0 precedes and n+1 follows larger
-    resp. smaller letters.
-
-    >>> decreasing_runs(Permutation.from_core((3, 2, 1)))
-    ((0,), (3, 2, 1), (4,))
-    >>> decreasing_runs(Permutation.from_core((1, 2, 3)))
-    ((0,), (1,), (2,), (3,), (4,))
-    """
-    negated = blocks_of_word([-v for v in p.word])  # ascents become descents
-    return tuple(tuple(-v for v in run) for run in negated)
 
 
 class MatchableType(enum.Enum):

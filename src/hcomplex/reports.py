@@ -153,7 +153,8 @@ class ConjectureReport:
 
 
 def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
-    """Run every verification for one n.
+    """Run every verification for one n, on ``table`` if one is given; a
+    table for another n raises ValueError.
 
     >>> conjecture_row(3)  # doctest: +NORMALIZE_WHITESPACE
     ConjectureRow(n=3, expected=(0,), observed=(0,), primal_morse_ok=True,
@@ -162,6 +163,8 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     """
     if table is None:
         table = enumerate_faces(n, max_n=n)
+    elif table.n != n:
+        raise ValueError(f"conjecture_row(n={n}) was given a face table for n={table.n}")
     primal = check_matching_side(table, build_matching(table))
     dual = check_matching_side(table, build_matching(table, dual=True))
     if n <= 7:

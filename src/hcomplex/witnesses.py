@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .complexes import FaceTable, is_free_face
 from .homology import SignedChain, boundary_of_chain
-from .perms import BarredFace, Permutation, face_from_chain, face_from_perm, frozen_slots
+from .perms import BarredFace, face_from_chain, face_from_perm, frozen_slots
 
 
 def admissible_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -119,10 +119,10 @@ def cycle_witness(n: int, k: int) -> SignedChain:
     coeffs: dict[BarredFace, int] = {}
     for size in range(len(spec.generators) + 1):
         for subset in combinations(spec.generators, size):
-            word = core[:]
+            perm = core[:]
             for p, q in subset:
-                word[p], word[q] = word[q], word[p]
-            face = face_from_perm(Permutation.from_core(tuple(word)))
+                perm[p], perm[q] = perm[q], perm[p]
+            face = face_from_perm(perm)
             if face.dim != k or face in coeffs:
                 raise AssertionError(f"swap term {face!r} is repeated or not of dimension {k}")
             coeffs[face] = 1 if size % 2 == 0 else -1

@@ -19,7 +19,6 @@ from hcomplex.complexes import (
 from hcomplex.homology import (
     betti_table,
     expected_nonzero_dims,
-    nonzero_dims_over_z,
     nonzero_dims_via_ranks,
 )
 from hcomplex.matching import verify_well_defined
@@ -67,7 +66,7 @@ def report(capsys, label, ok, elapsed, budget=None):
 def test_homology_window_exact_small_n(table, capsys):
     start = time.monotonic()
     ok = all(
-        nonzero_dims_over_z(table(n)) == expected_nonzero_dims(n)
+        betti_table(table(n)).nonzero_dims() == expected_nonzero_dims(n)
         for n in range(2, 8)
     )
     report(

@@ -1,6 +1,8 @@
 """The command line surface, run in-process, and proof that it caches nothing."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,35 @@ def test_cli_report_formats_and_out_file(tmp_path, capsys):
 def test_cli_time_budget_exhaustion(capsys):
     assert main(["report", "--n-max", "8", "--time-budget", "1e-9"]) == 2
     assert "time budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n-max", "0"],
+    ["report", "--n-max", "-3"],
+    ["conjecture", "--n-max", "0"],
+    ["report", "--n-max", "3", "--time-budget", "-1"],
+    ["report", "--n-max", "3", "--time-budget", "nan"],
+])
+def test_cli_empty_report_or_negative_budget_exits_2_before_any_work(argv, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a usage error must stop the run before any row")
+
+    monkeypatch.setattr("hcomplex.cli.conjecture_row", never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+
+
+def test_cli_unwritable_out_exits_2_without_a_traceback(tmp_path, subprocess_env):
+    # a directory, and a file in a directory that does not exist
+    for argv in (["build", "--n", "3", "--out", str(tmp_path)],
+                 ["witness", "--n", "5", "--k", "1", "--out", str(tmp_path / "no" / "x.json")]):
+        run = subprocess.run([sys.executable, "-m", "hcomplex.cli", *argv], env=subprocess_env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- nothing is cached ---------------------------------------------------------

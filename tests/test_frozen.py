@@ -16,7 +16,7 @@ import pytest
 
 import hcomplex
 from hcomplex.complexes import enumerate_faces, lex_shelling_check
-from hcomplex.homology import betti_table, boundary_matrix, check_conjecture
+from hcomplex.homology import betti_table, boundary_matrix
 from hcomplex.matching import build_matching, verify_well_defined
 from hcomplex.morse import (
     build_digraph,
@@ -25,7 +25,7 @@ from hcomplex.morse import (
     morse_inequalities,
     morse_numbers,
 )
-from hcomplex.perms import IntervalDiagnosis, MatchableType, Permutation
+from hcomplex.perms import IntervalDiagnosis, MatchableType
 from hcomplex.reports import ConjectureReport, check_matching_side, conjecture_row
 from hcomplex.witnesses import cycle_witness, verify_witness, witness_spec
 
@@ -34,7 +34,6 @@ M = build_matching(T)
 NUMBERS = morse_numbers(T, M)
 
 INSTANCES = {
-    "Permutation": lambda: Permutation((0, 2, 1, 3)),
     "BarredFace": lambda: T.faces[5],
     "IntervalDiagnosis": lambda: IntervalDiagnosis(0, 1, MatchableType.ONE_SPLIT),
     "ShellingReport": lambda: lex_shelling_check(3),
@@ -45,7 +44,6 @@ INSTANCES = {
     "InequalityReport": lambda: morse_inequalities(NUMBERS, betti_table(T).betti),
     "BoundaryMatrix": lambda: boundary_matrix(T, 1),
     "BettiTable": lambda: betti_table(T),
-    "ConjectureCheck": lambda: check_conjecture(T),
     "SignedChain": lambda: cycle_witness(7, 1),
     "WitnessSpec": lambda: witness_spec(7, 1),
     "WitnessReport": lambda: verify_witness(7, 1),

@@ -21,13 +21,10 @@ from hcomplex.matching import (
 from hcomplex.perms import (
     BarredFace,
     MatchableType,
-    Permutation,
-    complement,
     complement_word,
     diagnose_word,
     face_from_perm,
     lowest_matchable,
-    perm_from_face,
 )
 
 PAIRED = {
@@ -297,7 +294,7 @@ def dual_partner_by_runs(f: BarredFace) -> BarredFace | None:
                 + blocks[i + 1:]
             )
         word = tuple(x for b in new for x in b)
-        return face_from_perm(Permutation.from_core(word[1:-1]))
+        return face_from_perm(word[1:-1])
     return None
 
 
@@ -318,7 +315,8 @@ def one_adjacent_swap_apart(v, w):
 
 
 def complemented(f):
-    return face_from_perm(complement(perm_from_face(f)))
+    n = f.n
+    return BarredFace.from_word(n, (0, *(n + 1 - v for v in f.word[1:-1]), n + 1))
 
 
 def assert_local_match(f, g, match, structure):
@@ -348,7 +346,7 @@ BIG_PERMUTATIONS = st.integers(10, 30).flatmap(lambda n: st.permutations(range(1
 @settings(max_examples=200, deadline=None)
 @given(BIG_PERMUTATIONS)
 def test_partner_properties_beyond_enumeration(core):
-    f = face_from_perm(Permutation.from_core(core))
+    f = face_from_perm(core)
     g = partner(f)
     assert g == partner_by_surgery(f)
     if g is not None:
@@ -358,7 +356,7 @@ def test_partner_properties_beyond_enumeration(core):
 @settings(max_examples=200, deadline=None)
 @given(BIG_PERMUTATIONS)
 def test_dual_partner_properties_beyond_enumeration(core):
-    f = face_from_perm(Permutation.from_core(core))
+    f = face_from_perm(core)
     g = dual_partner(f)
     assert g == dual_partner_by_surgery(f)
     if g is not None:
@@ -408,12 +406,12 @@ def test_dual_partner_matches_mirrored_implementation(table):
 
 
 def test_dual_pairs_for_n3():
-    f321 = face_from_perm(Permutation.from_core((3, 2, 1)))
-    f312 = face_from_perm(Permutation.from_core((3, 1, 2)))
+    f321 = face_from_perm((3, 2, 1))
+    f312 = face_from_perm((3, 1, 2))
     assert dual_partner(f321) == f312
     assert dual_partner(f312) == f321
     for core in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)):
-        assert dual_partner(face_from_perm(Permutation.from_core(core))) is None
+        assert dual_partner(face_from_perm(core)) is None
 
 
 def test_critical_faces_structure(table, matching):
@@ -538,4 +536,4 @@ def test_word_diagnosis_equals_block_oracle_through_n8(table):
 @settings(max_examples=300, deadline=None)
 @given(BIG_PERMUTATIONS)
 def test_word_diagnosis_equals_block_oracle_beyond_enumeration(core):
-    assert_word_diagnosis_equals_oracles(face_from_perm(Permutation.from_core(core)))
+    assert_word_diagnosis_equals_oracles(face_from_perm(core))

@@ -43,3 +43,11 @@ def test_homology_is_the_same_under_python_O(subprocess_env):
         subprocess_env, "homology", "--n", "7", "--coefficients", "Z")
     assert '"betti": [' in plain
     assert optimized == plain
+
+
+def test_witness_is_the_same_under_python_O(subprocess_env):
+    # each swap term is checked by face_from_perm, not by an assert
+    plain, optimized = run_plain_and_optimized(
+        subprocess_env, "witness", "--n", "8", "--k", "2")
+    assert '"freeFace": ' in plain
+    assert optimized == plain

@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 from hcomplex.perms import (
     BarredFace,
     MatchableType,
-    Permutation,
     blocks_of_word,
-    complement,
-    decreasing_runs,
-    descent_ranks,
+    complement_word,
     face_from_chain,
     face_from_perm,
     lowest_matchable,
-    perm_from_face,
 )
 # the block-level matching rules and the block surgery that the word-level
 # diagnosis and partner replaced are kept as test oracles
@@ -36,23 +32,11 @@ from test_matching import (
 
 
 def all_faces(n):
-    return [face_from_perm(Permutation.from_core(c)) for c in permutations(range(1, n + 1))]
-
-
-def test_word_carries_sentinels():
-    p = Permutation.from_core((2, 1, 3))
-    assert p.word == (0, 2, 1, 3, 4)
-    assert p.n == 3 and p.core == (2, 1, 3)
-    with pytest.raises(ValueError):
-        Permutation((0, 1, 1, 2, 4))
-    with pytest.raises(ValueError):
-        Permutation((1, 2, 3))
+    return [face_from_perm(c) for c in permutations(range(1, n + 1))]
 
 
 def test_words_must_be_tuples():
     # a list word would build an unhashable value unequal to the tuple one
-    with pytest.raises(ValueError, match="tuple"):
-        Permutation([0, 2, 1, 3])
     with pytest.raises(ValueError, match="tuple"):
         BarredFace.from_word(2, [0, 2, 1, 3])
     assert BarredFace.from_word(2, (0, 2, 1, 3)) == BarredFace(2, ((0, 2), (1, 3)))
@@ -91,12 +75,12 @@ def test_faces_are_immutable():
 def test_descents_only_at_inner_ranks():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
-            ranks = descent_ranks(Permutation.from_core(core))
+            ranks = face_from_perm(core).bar_ranks()
             assert all(2 <= r <= n for r in ranks)
 
 
 def test_face_dimension_counts_bars():
-    f = face_from_perm(Permutation.from_core((1, 3, 2, 6, 5, 4)))
+    f = face_from_perm((1, 3, 2, 6, 5, 4))
     assert f.blocks == ((0, 1, 3), (2, 6), (5,), (4, 7))
     assert f.dim == 2
     assert f.bar_ranks() == (3, 5, 6)
@@ -211,8 +195,11 @@ def test_face_blocks_must_be_a_tuple_of_tuples():
 def test_perm_face_round_trip_exhaustive():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
-            p = Permutation.from_core(core)
-            assert perm_from_face(face_from_perm(p)) == p
+            f = face_from_perm(core)
+            assert f.word[1:-1] == core and f.n == n
+    for core in ((), (1, 1), (2, 3), (0, 1), (1, 3)):  # not a permutation of 1..n, n >= 1
+        with pytest.raises(ValueError):
+            face_from_perm(core)
 
 
 def test_chain_round_trip_exhaustive():
@@ -235,21 +222,10 @@ def test_face_from_chain_rejects_bad_chains():
 def test_complement_is_an_involution():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
-            p = Permutation.from_core(core)
-            q = complement(p)
-            assert q.core == tuple(n + 1 - v for v in core)
-            assert complement(q) == p
-
-
-def test_decreasing_runs_tile_the_word():
-    for n in range(1, 7):
-        for core in permutations(range(1, n + 1)):
-            p = Permutation.from_core(core)
-            runs = decreasing_runs(p)
-            flat = tuple(v for run in runs for v in run)
-            assert flat == p.word
-            assert all(all(x > y for x, y in zip(r, r[1:])) for r in runs)
-            assert runs[0] == (0,) and runs[-1] == (p.n + 1,)
+            word = (0, *core, n + 1)
+            flipped = complement_word(word)
+            assert flipped == (0, *(n + 1 - v for v in core), n + 1)
+            assert complement_word(flipped) == word
 
 
 @given(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hcomplex.complexes import covers_down, is_free_face
 from hcomplex.homology import boundary_of_chain
-from hcomplex.perms import BarredFace, Permutation, face_from_perm
+from hcomplex.perms import BarredFace, face_from_perm
 from hcomplex.witnesses import (
     admissible_pairs,
     cycle_witness,
@@ -111,7 +111,7 @@ def test_local_freeness_scan_matches_table_oracle(table):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(10, 24).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_local_parent_equals_neighbour_bar_rule(core):
-    f = face_from_perm(Permutation.from_core(core))
+    f = face_from_perm(core)
     assert has_local_parent(f) == has_local_parent_by_neighbour_bars(f)
 
 
