@@ -54,6 +54,10 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise BudgetExceededError(message + " (override with --unsafe-budget)")
@@ -74,9 +78,8 @@ def _table(args: argparse.Namespace, n: int) -> FaceTable:
     _require(args.unsafe_budget or n <= ENUM_CEILING, f"n={n} exceeds n<={ENUM_CEILING}")
     start = time.monotonic()
     table = enumerate_faces(n, max_n=n)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
-    _note(args, f"enumerated {len(table.faces)} faces in {time.monotonic()-start:.2f}s, "
-          f"peak RSS {rss_mb:.1f} MB")
+    _note(args, f"enumerated {len(table)} faces in {time.monotonic()-start:.2f}s, "
+          f"peak RSS {_peak_rss_mb():.1f} MB")
     return table
 
 
@@ -145,7 +148,8 @@ def _run_report(args: argparse.Namespace, fmt: str) -> int:
             print(f"error: time budget exceeded before n={n}", file=sys.stderr)
             return 2
         rows.append(conjecture_row(n))
-        _note(args, f"n={n}: {rows[-1].verdict} ({time.monotonic()-start:.1f}s elapsed)")
+        _note(args, f"n={n}: {rows[-1].verdict} ({time.monotonic()-start:.1f}s elapsed, "
+              f"peak RSS {_peak_rss_mb():.1f} MB)")
     report = ConjectureReport(tuple(rows))
     _emit(render_report(report, fmt), args.out)
     if not report.all_pass:

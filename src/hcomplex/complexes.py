@@ -11,11 +11,15 @@ recomputes, definitionally, the minimal new face of every facet of the order
 complex of the lattice under the lexicographic shelling and confirms it is
 the descent chain.
 
-The table holds each per-face value once: ``id_of_word`` is keyed by the word
-tuple each face stores, and the cover relation (erase one bar), computed by one
-``covers_down`` call per face, is kept as ``FaceTable.cover_incidence``: per
-face id, a tuple of the ids (the index's own ints) of the faces it covers, in
-bar order.  The Morse digraphs, the free-face test and the boundaries read it.
+The table is flat.  ``id_of_word`` maps each face's sentinel word, as
+``bytes`` (0, a_1..a_n, n+1), to its id, ids in lex order, and ``words``
+holds the same key objects in id order; ``bars`` holds each face's bar count
+(dim + 1) in one ``bytes``.  The cover relation (erase one bar), computed by
+one ``covers_down`` call per face, is kept as two ``array('i')``: N + 1
+offsets, and the ids of the faces each face covers, in bar order.
+``lowers(fid)`` is one face's slice.  No ``BarredFace`` is stored: ``faces``
+builds each one from its word when it is read.  The Morse digraphs, the
+free-face test and the boundaries read the incidence.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import gt
 
 from .perms import BarredFace, face_from_perm
 
@@ -46,43 +52,87 @@ def _check_budget(n: int, max_n: int | None, what: str) -> None:
         )
 
 
+class FaceView(Sequence):
+    """The faces of a table, read-only: each index or iteration builds the
+    face of a stored word with ``BarredFace.from_word``, so a corrupted word
+    raises ValueError when its face is read."""
+
+    def __init__(self, table: FaceTable) -> None:
+        self._n, self._words = table.n, table.words
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return BarredFace.from_word(self._n, tuple(self._words[i]))
+
+
 @dataclass
 class FaceTable:
-    """All faces for one n, ids in lexicographic order of the permutation."""
+    """All faces for one n, ids in lexicographic order of the permutation.
+
+    ``words[i]`` is face i's sentinel word as bytes, the object that keys
+    ``id_of_word``, and ``bars[i]`` its bar count, dim + 1.  ``faces`` is a
+    read-only view that builds each face from its word when it is read.
+
+    >>> t = enumerate_faces(3)
+    >>> t.words[5], t.id_of_word[t.words[5]], t.bars[5], t.lowers(5), t.faces[5]
+    (b'\\x00\\x03\\x02\\x01\\x04', 5, 2, array('i', [3, 4]), BarredFace(3, 03|2|14))
+    """
 
     n: int
-    faces: list[BarredFace]
-    id_of_word: dict[tuple[int, ...], int]  # keys are the faces' own words
-    _covers: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    words: list[bytes]
+    id_of_word: dict[bytes, int]
+    bars: bytes
+    _incidence: tuple[array, array] | None = field(default=None, repr=False)
     _partners: array | None = field(default=None, repr=False)
     _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
     _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self.words)
+
+    @property
+    def faces(self) -> FaceView:
+        return FaceView(self)
 
     def id_of_face(self, f: BarredFace) -> int:
-        return self.id_of_word[f.word]
+        """The id of f; raises ValueError unless f is a face of this table."""
+        fid = self.id_of_word.get(bytes(f.word)) if f.n == self.n else None
+        if fid is None:
+            raise ValueError(f"{f!r} is not a face of the table for n={self.n}")
+        return fid
 
-    def cover_incidence(self) -> list[tuple[int, ...]]:
-        """Per face id, the ids of the faces it covers, in bar order.
+    def cover_incidence(self) -> tuple[array, array]:
+        """(offsets, lowers): face i covers ``lowers[offsets[i]:offsets[i + 1]]``.
 
-        Erasing bar i carries the boundary sign (-1)^i.  Built on first use
+        Erasing bar k carries the boundary sign (-1)^k.  Built on first use
         with one ``covers_down`` call per face.
 
         >>> enumerate_faces(3).cover_incidence()
-        [(), (0,), (0,), (0,), (0,), (3, 4)]
+        (array('i', [0, 0, 1, 2, 3, 4, 6]), array('i', [0, 0, 0, 0, 3, 4]))
         """
-        if self._covers is None:
-            self._covers = [covers_down(self, f) for f in self.faces]
-        return self._covers
+        if self._incidence is None:
+            offsets, lowers = array("i", [0]), array("i")
+            for word in self.words:
+                lowers.extend(covers_down(self, word))
+                offsets.append(len(lowers))
+            self._incidence = offsets, lowers
+        return self._incidence
+
+    def lowers(self, fid: int) -> array:
+        """The ids of the faces face fid covers, in bar order."""
+        offsets, lowers = self.cover_incidence()
+        return lowers[offsets[fid]:offsets[fid + 1]]
 
     def ids_by_dim(self) -> dict[int, list[int]]:
         """Face ids by dimension, the int objects ``id_of_word`` holds."""
         if self._ids_by_dim is None:
             out: dict[int, list[int]] = {d: [] for d in range(-1, self.n - 1)}
-            for f, i in zip(self.faces, self.id_of_word.values()):
-                out[f.dim].append(i)
+            for b, i in zip(self.bars, self.id_of_word.values()):
+                out[b - 1].append(i)
             self._ids_by_dim = out
         return self._ids_by_dim
 
@@ -95,35 +145,35 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     (6, [-1, 0, 0, 0, 0, 1])
     """
     _check_budget(n, max_n, "face enumeration")
-    sentinel, from_word = (n + 1,), BarredFace.from_word
-    cores = itertools.permutations(range(1, n + 1))
-    faces = [from_word(n, (0,) + core + sentinel) for core in cores]
-    return FaceTable(n, faces, {f.word: i for i, f in enumerate(faces)})
+    head, tail = b"\0", bytes([n + 1])
+    words = [head + bytes(core) + tail for core in itertools.permutations(range(1, n + 1))]
+    bars = bytes(sum(map(gt, w, w[1:])) for w in words)
+    return FaceTable(n, words, dict(zip(words, range(len(words)))), bars)
 
 
-def covers_down(table: FaceTable, f: BarredFace) -> tuple[int, ...]:
-    """The ids of the faces covered by f, in bar order: entry i erases bar i.
+def covers_down(table: FaceTable, word: bytes) -> tuple[int, ...]:
+    """The ids of the faces covered by the face of ``word``, in bar order:
+    entry i erases bar i.
 
     Erasing a bar sorts the two runs of the word it separates into one; the
     sorted word is looked up in ``id_of_word``.  Raises AssertionError unless
-    the face found there has dimension one less than f (one block fewer).
+    the face found there has one bar fewer in ``bars`` (one block fewer).
 
     >>> t = enumerate_faces(3)
-    >>> covers_down(t, t.faces[5])
+    >>> covers_down(t, t.words[5])
     (3, 4)
     """
-    word = f.word
-    ids, faces = table.id_of_word, table.faces
+    ids, bars = table.id_of_word, table.bars
     # word positions where the blocks start, and the end of the last block
     cuts = [0, *(i for i in range(1, len(word)) if word[i - 1] > word[i]), len(word)]
     lowers = []
     for bar in range(len(cuts) - 2):
         lo, hi = cuts[bar], cuts[bar + 2]
-        lower = ids[word[:lo] + tuple(sorted(word[lo:hi])) + word[hi:]]
-        if faces[lower].dim != f.dim - 1:
+        lower = ids[word[:lo] + bytes(sorted(word[lo:hi])) + word[hi:]]
+        if bars[lower] != len(cuts) - 3:
             raise AssertionError(
-                f"erasing bar {bar} of {f!r} gives {faces[lower]!r}, "
-                "not a face with one block fewer"
+                f"erasing bar {bar} of {tuple(word)} gives face {lower} with "
+                f"{bars[lower]} bars, not a face with one block fewer"
             )
         lowers.append(lower)
     return tuple(lowers)
@@ -134,7 +184,7 @@ def is_free_face(table: FaceTable, f: BarredFace) -> bool:
 
     Containment of barred faces is containment of their chains; the complex
     is closed under erasing chain elements, so maximality is equivalent to
-    having no cover.
+    having no cover.  Raises ValueError unless f is a face of the table.
 
     >>> t = enumerate_faces(3)
     >>> is_free_face(t, face_from_perm((1, 3, 2)))
@@ -142,8 +192,7 @@ def is_free_face(table: FaceTable, f: BarredFace) -> bool:
     >>> is_free_face(t, face_from_perm((1, 2, 3)))
     False
     """
-    fid = table.id_of_face(f)
-    return not any(fid in lowers for lowers in table.cover_incidence())
+    return table.id_of_face(f) not in table.cover_incidence()[1]
 
 
 def f_vector(table: FaceTable) -> tuple[int, ...]:
@@ -153,8 +202,8 @@ def f_vector(table: FaceTable) -> tuple[int, ...]:
     (1, 4, 1)
     """
     counts = [0] * table.n
-    for f in table.faces:
-        counts[f.dim + 1] += 1
+    for b in table.bars:
+        counts[b] += 1
     return tuple(counts)
 
 
@@ -165,7 +214,7 @@ def euler_characteristic(table: FaceTable) -> int:
     >>> euler_characteristic(enumerate_faces(3))
     2
     """
-    return sum(-1 if f.dim % 2 else 1 for f in table.faces)
+    return sum(1 if b % 2 else -1 for b in table.bars)
 
 
 @lru_cache(maxsize=None)

@@ -73,12 +73,12 @@ def boundary_matrix(table: FaceTable, dim: int, skip: Collection[int] = ()) -> B
     (1, 4, 4)
     """
     by_dim = table.ids_by_dim()
-    covers = table.cover_incidence()
+    offsets, lowers = table.cover_incidence()
     col_ids, row_ids = by_dim.get(dim, []), by_dim.get(dim - 1, [])
     row_pos = {g: k for k, g in enumerate(row_ids)}.__getitem__
     signs = (1, -1) * table.n  # erasing bar i deletes chain element i: (-1)^i
     cols: Rows = {
-        c: dict(zip(map(row_pos, covers[g]), signs))
+        c: dict(zip(map(row_pos, lowers[offsets[g]:offsets[g + 1]]), signs))
         for c, g in enumerate(col_ids) if c not in skip
     }
     return BoundaryMatrix(table.n, dim, len(row_ids), len(col_ids), cols)

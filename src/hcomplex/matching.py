@@ -113,10 +113,10 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        ids, found = table.id_of_word, map(partner, table.faces)
-        table._partners = array("i", (-1 if g is None else ids[g.word] for g in found))
+        id_of_face, found = table.id_of_face, map(partner, table.faces)
+        table._partners = array("i", (-1 if g is None else id_of_face(g) for g in found))
     if dual:
-        last = len(table.faces) - 1
+        last = len(table) - 1
         pairs = {f: last - g for f, g in enumerate(table._partners[::-1]) if g >= 0}
     else:
         pairs = {f: g for f, g in enumerate(table._partners) if g >= 0}
@@ -136,17 +136,16 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     {-1: [], 0: [2, 3, 4], 1: [5]}
     """
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
-    for fid, face in enumerate(table.faces):
+    for fid, (w, bars) in enumerate(zip(table.words, table.bars)):
         if fid in matching.pairs:
             continue
-        out[face.dim].append(fid)
-        w = face.word
+        out[bars - 1].append(fid)
         fours = zip(w, w[1:], w[2:], w[3:])
         if matching.dual:
             if any(a > b > c > d for a, b, c, d in fours):
-                raise AssertionError(f"dual critical face {face} has a decreasing run > 3")
+                raise AssertionError(f"dual critical face {fid} {tuple(w)} has a decreasing run > 3")
         elif any(a < b < c < d for a, b, c, d in fours):
-            raise AssertionError(f"critical face {face} has a block > 3")
+            raise AssertionError(f"critical face {fid} {tuple(w)} has a block > 3")
     return out
 
 
@@ -176,23 +175,22 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     """
     violations: list[str] = []
     pairs = matching.pairs
-    covers = table.cover_incidence()
+    words, bars = table.words, table.bars
     for fid, gid in pairs.items():
         if pairs.get(gid) != fid or gid == fid:
             violations.append(f"{fid}<->{gid}: not a fixed-point-free involution")
             continue
         if fid > gid:
             continue  # handle each pair once
-        f, g = table.faces[fid], table.faces[gid]
-        lower, upper = (fid, gid) if f.dim < g.dim else (gid, fid)
-        if lower not in covers[upper]:
+        lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
+        if lower not in table.lowers(upper):
             violations.append(f"{fid}<->{gid}: not a cover pair")
-        if not _is_adjacent_swap(f.word, g.word):
+        if not _is_adjacent_swap(words[fid], words[gid]):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        words = (f.word, g.word)
+        pair = (words[fid], words[gid])
         if matching.dual:
-            words = map(complement_word, words)
-        df, dg = map(diagnose_word, words)
+            pair = map(complement_word, pair)
+        df, dg = map(diagnose_word, pair)
         if df is None or dg is None:
             violations.append(f"{fid}<->{gid}: matched face has no matchable block")
             continue
@@ -210,6 +208,6 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
         dual=matching.dual,
         ok=not violations,
         pair_count=len(pairs) // 2,
-        critical_count=len(table.faces) - len(pairs),
+        critical_count=len(table) - len(pairs),
         violations=tuple(violations[:20]),
     )

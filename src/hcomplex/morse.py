@@ -36,18 +36,18 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     >>> g.arc_count, g.out[0], g.out[5]
     (6, [1], [3, 4])
     """
-    covers = table.cover_incidence()
-    out: list[list[int]] = [[] for _ in covers]
-    arcs = 0
+    offsets, lowers = table.cover_incidence()
+    ids = list(table.id_of_word.values())  # ids[i] is i: every arc holds the index's ints
+    out: list[list[int]] = [[] for _ in ids]
     pairs = matching.pairs
-    for upper, lowers in enumerate(covers):
-        for lower in lowers:
+    for upper in ids:
+        for lower in lowers[offsets[upper]:offsets[upper + 1]]:
+            lower = ids[lower]
             if pairs.get(lower) == upper:
                 out[lower].append(upper)
             else:
                 out[upper].append(lower)
-        arcs += len(lowers)
-    return MorseDigraph(table.n, matching.dual, out, arcs)
+    return MorseDigraph(table.n, matching.dual, out, len(lowers))
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
     (1, 3, 0)
     """
     counts = tuple(len(ids) for ids in critical_faces(table, matching).values())
-    if len(matching.pairs) + sum(counts) != len(table.faces):
+    if len(matching.pairs) + sum(counts) != len(table):
         raise AssertionError("matched pairs and critical faces do not tile the table")
     return MorseNumbers(table.n, matching.dual, counts)
 

@@ -38,7 +38,7 @@ from .morse import (
     morse_numbers,
     verify_certificate,
 )
-from .perms import frozen_slots
+from .perms import blocks_of_word, frozen_slots
 from .witnesses import admissible_pairs, verify_witness
 
 RENDER_FORMATS = ("json", "csv", "md")
@@ -47,27 +47,17 @@ RENDER_FORMATS = ("json", "csv", "md")
 def face_table_payload(table: FaceTable) -> dict:
     """Export {n, faces:[{id, perm, blocks, dim}]} with sentinel-free blocks."""
     faces = []
-    for i, f in enumerate(table.faces):
-        blocks = [[v for v in b if 0 < v <= table.n] for b in f.blocks]
-        faces.append(
-            {
-                "id": i,
-                "perm": list(f.word[1:-1]),
-                "blocks": [b for b in blocks if b],
-                "dim": f.dim,
-            }
-        )
+    for i, (word, bars) in enumerate(zip(table.words, table.bars)):
+        blocks = [[v for v in b if 0 < v <= table.n] for b in blocks_of_word(word)]
+        faces.append({"id": i, "perm": list(word[1:-1]), "blocks": [b for b in blocks if b],
+                      "dim": bars - 1})
     return {"n": table.n, "faces": faces}
 
 
 def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
     """Export {n, dual, pairs:[[lower, upper]], critical:[ids]}."""
-    pairs = sorted(
-        [a, b]
-        for a, b in matching.pairs.items()
-        if table.faces[a].dim < table.faces[b].dim
-    )
-    critical = sorted(i for i in range(len(table.faces)) if i not in matching.pairs)
+    pairs = sorted([a, b] for a, b in matching.pairs.items() if table.bars[a] < table.bars[b])
+    critical = [i for i in range(len(table)) if i not in matching.pairs]
     return {"n": table.n, "dual": matching.dual, "pairs": pairs, "critical": critical}
 
 

@@ -1,11 +1,12 @@
 """Sparse exact elimination over Z, and Smith normal form.
 
-Matrices are dicts of rows, each row a dict col -> non-zero int.  The
-elimination clears one pivot at a time, chosen greedily from the shortest
-rows with a fill-minimizing column (Markowitz-style).  Only pivots of
-absolute value 1 are used, so all arithmetic stays integral; rows that run
-out of unit entries are set aside and the survivors form a small residual
-that is finished by a dense reduction.  That reduction does not bound
+Matrices are dicts of rows, each row a dict col -> int.  The elimination
+runs in the dict it is given, with no copy, so ``smith_normal_form``
+consumes its argument.  It clears one pivot at a time, chosen greedily from
+the shortest rows with a fill-minimizing column (Markowitz-style).  Only
+pivots of absolute value 1 are used, so all arithmetic stays integral; rows
+that run out of unit entries are set aside and the survivors form a small
+residual, finished by a dense reduction.  That reduction does not bound
 coefficient growth, so it refuses a residual of more than
 ``DENSE_CELL_LIMIT`` cells with a ValueError.
 
@@ -46,15 +47,22 @@ def transpose_rows(rows: Rows) -> Rows:
 
 
 class _Eliminator:
+    """Eliminates the rows dict it is given, in place: zero entries and
+    empty rows are dropped from it, and it ends as the residual."""
+
     def __init__(self, rows: Rows):
-        self.rows: Rows = {}
+        self.rows = rows
         self.cols: dict[int, set[int]] = {}
-        for i, row in rows.items():
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                self.rows[i] = row
-                for j in row:
-                    self.cols.setdefault(j, set()).add(i)
+        for i in list(rows):
+            row = rows[i]
+            if 0 in row.values():
+                for j in [j for j, v in row.items() if not v]:
+                    del row[j]
+            if not row:
+                del rows[i]
+                continue
+            for j in row:
+                self.cols.setdefault(j, set()).add(i)
         self.heap = [(len(row), i) for i, row in self.rows.items()]
         heapify(self.heap)
         self.pivots: list[int] = []  # the column of each unit pivot, in order
@@ -193,14 +201,17 @@ def _snf_kernel(m: list[list[int]]) -> list[int]:
 def smith_normal_form(rows: Rows, pivots: list[int] | None = None) -> tuple[int, ...]:
     """Non-zero invariant factors d_1 | d_2 | .. of an integer matrix.
 
-    A ``pivots`` list gets the column of each unit pivot appended.
+    Consumes ``rows``: the elimination runs in it, so the caller must not
+    read it afterwards (pass a copy to keep it).  A ``pivots`` list gets the
+    column of each unit pivot appended.
 
     >>> smith_normal_form(rows_from_dense([[1, 0], [0, 1]]))
     (1, 1)
     >>> smith_normal_form(rows_from_dense([[2, 4], [0, 6]]))
     (2, 6)
-    >>> smith_normal_form(rows_from_dense([[0, 0], [0, 0]]))
-    ()
+    >>> rows = {0: {0: 0, 1: 2}, 1: {}}
+    >>> smith_normal_form(rows), rows  # consumed: what is left is the residual
+    ((2,), {0: {1: 2}})
     """
     engine = _Eliminator(rows)
     residual = engine.run()

@@ -133,9 +133,10 @@ def test_cli_broken_cover_relation_is_a_falsification(capsys, monkeypatch):
         t = enumerate_faces(n, max_n)
         if n < 4:
             return t
-        faces = list(t.faces)
-        faces[1], faces[-1] = faces[-1], faces[1]
-        return FaceTable(n, faces, dict(t.id_of_word))
+        # two words trade ids; the bar counts stay where they were
+        words = list(t.words)
+        words[1], words[-1] = words[-1], words[1]
+        return FaceTable(n, words, {w: i for i, w in enumerate(words)}, t.bars)
 
     monkeypatch.setattr("hcomplex.reports.enumerate_faces", swapped)
     assert main(["report", "--n-max", "4"]) == 1
@@ -270,3 +271,23 @@ def test_cli_verbose_notes_peak_rss_on_stderr_only(capsys):
     note = re.fullmatch(r"enumerated 24 faces in \d+\.\d\ds, peak RSS (\d+\.\d) MB\n", loud.err)
     assert note, loud.err
     assert 1 < float(note.group(1)) < 100_000
+
+
+def test_cli_verbose_report_rows_note_peak_rss_on_stderr_only(capsys):
+    import re
+
+    for fmt in ("json", "md"):
+        assert main(["report", "--n-max", "4", "--format", fmt]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main(["report", "--n-max", "4", "--format", fmt, "-v"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        notes = loud.err.splitlines()
+        assert len(notes) == 4
+        peaks = []
+        for n, note in enumerate(notes, 1):
+            m = re.fullmatch(rf"n={n}: PASS \(\d+\.\ds elapsed, peak RSS (\d+\.\d) MB\)", note)
+            assert m, note
+            peaks.append(float(m.group(1)))
+        assert 1 < peaks[0] and peaks == sorted(peaks)  # a running peak never falls

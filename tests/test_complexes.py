@@ -1,5 +1,6 @@
 """Face enumeration, counting identities, free faces, and the shelling scan."""
 
+from array import array
 from itertools import permutations
 from math import factorial
 
@@ -72,12 +73,13 @@ def test_face_dimension_is_descent_count_minus_one(table):
 
 
 def test_covers_down_matches_chain_deletion(table):
-    for n in range(1, 6):
+    for n in range(1, 7):
         t = table(n)
-        for f in t.faces:
+        for fid, f in enumerate(t.faces):
             chain = f.chain()
-            lowers = covers_down(t, f)
+            lowers = covers_down(t, t.words[fid])
             assert len(lowers) == len(chain)
+            assert tuple(t.lowers(fid)) == lowers
             for bar, lower in enumerate(lowers):
                 expected = chain[:bar] + chain[bar + 1 :]
                 assert t.faces[lower].chain() == expected
@@ -86,24 +88,70 @@ def test_covers_down_matches_chain_deletion(table):
 def test_cover_incidence_is_covers_down_in_bar_order(table):
     for n in range(1, 7):
         t = table(n)
-        covers = t.cover_incidence()
-        assert len(covers) == len(t)
-        for fid, lowers in enumerate(covers):
-            assert lowers == covers_down(t, t.faces[fid])
+        offsets, lowers = t.cover_incidence()
+        assert (offsets.typecode, lowers.typecode) == ("i", "i")
+        assert len(offsets) == len(t) + 1 and offsets[0] == 0
+        assert offsets[-1] == len(lowers) == sum(t.bars)
+        for fid, word in enumerate(t.words):
+            assert t.lowers(fid) == array("i", covers_down(t, word))
 
 
 def test_covers_down_rejects_a_table_with_swapped_faces():
+    # two words trade ids while the bar counts stay where they were
     t = enumerate_faces(4)
-    faces = list(t.faces)
-    top = len(faces) - 1
-    assert faces[1].dim == 0 and faces[top].dim == 2
-    faces[1], faces[top] = faces[top], faces[1]
-    bad = FaceTable(4, faces, dict(t.id_of_word))
+    words = list(t.words)
+    top = len(words) - 1
+    assert t.bars[1] == 1 and t.bars[top] == 3
+    words[1], words[top] = words[top], words[1]
+    bad = FaceTable(4, words, {w: i for i, w in enumerate(words)}, t.bars)
     with pytest.raises(AssertionError, match="one block fewer"):
-        for f in bad.faces:
-            covers_down(bad, f)
+        for w in bad.words:
+            covers_down(bad, w)
     with pytest.raises(AssertionError, match="one block fewer"):
         bad.cover_incidence()
+
+
+def test_faces_view_builds_each_face_from_its_word(table):
+    for n in range(1, 7):
+        t = table(n)
+        expected = [face_from_perm(core) for core in permutations(range(1, n + 1))]
+        assert list(t.faces) == expected
+        assert [t.faces[i] for i in range(len(t))] == expected
+        assert t.faces[-1] == expected[-1] and t.faces[1:3] == expected[1:3]
+        assert [f.dim + 1 for f in expected] == list(t.bars)
+        assert [bytes(f.word) for f in expected] == t.words
+
+
+def test_faces_view_is_read_only_and_checks_each_word():
+    t = enumerate_faces(4)
+    with pytest.raises(TypeError):
+        t.faces[0] = t.faces[1]
+    assert not any(isinstance(v, BarredFace) for v in vars(t).values())
+    t.words[3] = b"\0\1\2\2\5"  # a repeated letter: no sentinel word
+    with pytest.raises(ValueError, match="not a permutation"):
+        t.faces[3]
+    with pytest.raises(ValueError, match="not a permutation"):
+        list(t.faces)
+    assert t.faces[4].word == tuple(t.words[4])
+
+
+def test_id_of_face_inverts_the_view(table):
+    for n in range(1, 7):
+        t = table(n)
+        for i, f in enumerate(t.faces):
+            assert t.id_of_face(f) == i
+
+
+def test_a_face_from_another_n_is_a_value_error():
+    from hcomplex.witnesses import free_face, verify_witness
+
+    t = enumerate_faces(4)
+    with pytest.raises(ValueError, match=r"BarredFace\(5, .* n=4"):
+        is_free_face(t, free_face(5, 1))
+    with pytest.raises(ValueError, match=r"BarredFace\(3, 02\|134\) .* n=4"):
+        t.id_of_face(face_from_perm((2, 1, 3)))
+    with pytest.raises(ValueError, match="n=4"):
+        verify_witness(5, 1, t)
 
 
 def test_free_faces_match_brute_force_containment(table):

@@ -1,5 +1,6 @@
 """Boundary operators, exact homology, and the non-vanishing window."""
 
+from array import array
 from itertools import accumulate, chain, combinations
 
 import pytest
@@ -272,8 +273,10 @@ def projective_plane():
     ids = {s: i for i, s in enumerate(cells)}
     # deleting vertex i of a simplex carries the sign (-1)^i, as erasing bar i does
     covers = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] for s in cells]
+    incidence = array("i", [0, *accumulate(map(len, covers))]), array("i", chain(*covers))
+    bars = bytes(map(len, cells))  # a simplex with d + 1 vertices has dimension d
     by_dim = {d: [i for i, s in enumerate(cells) if len(s) == d + 1] for d in range(-1, 3)}
-    return FaceTable(4, [], {}, _covers=covers, _ids_by_dim=by_dim)
+    return FaceTable(4, [], {}, bars, _incidence=incidence, _ids_by_dim=by_dim)
 
 
 def test_clearing_keeps_torsion_on_the_projective_plane():

@@ -437,7 +437,7 @@ def test_dual_matching_equals_complement_conjugated_primal(table, matching):
     for n in range(1, 8):
         t = table(n)
         comp = {
-            fid: t.id_of_word[(0, *(n + 1 - x for x in f.word[1:-1]), n + 1)]
+            fid: t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))]
             for fid, f in enumerate(t.faces)
         }
         primal, dual = matching(n).pairs, matching(n, True).pairs
@@ -449,7 +449,7 @@ def test_complement_reverses_face_ids(table):
         t = table(n)
         last = len(t) - 1
         for fid, f in enumerate(t.faces):
-            assert t.id_of_word[(0, *(n + 1 - x for x in f.word[1:-1]), n + 1)] == last - fid
+            assert t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))] == last - fid
 
 
 def test_build_matching_diagnoses_each_face_once(monkeypatch):

@@ -1,38 +1,57 @@
-"""The face table holds each per-face value once.
+"""The face table is flat, and the Smith forms eliminate in place.
 
-The index is keyed by the word tuples the faces store, the cover incidence
-is one exact-size tuple per face, and the per-dimension id lists reuse the
-index's int objects.  A tracemalloc bound per face guards the footprint.
+The index is keyed by the bytes words the table lists, the cover incidence
+is two ``array('i')``, and the per-dimension id lists and the Morse digraph
+arcs reuse the index's int objects.  Tracemalloc bounds guard the footprint
+of the table and the peak of the eliminations.
 """
 
 import math
 import tracemalloc
+from array import array
 
 from hcomplex.complexes import enumerate_faces
+from hcomplex.homology import invariant_factors
+from hcomplex.matching import build_matching
+from hcomplex.morse import build_digraph
 
-# enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 310 B per
+# enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 136 B per
 # face under tracemalloc (Python 3.11, 64-bit Linux); the bound allows 15%.
-# Cover lists plus a fresh int per id in ids_by_dim read 364 B, and adding a
-# second core-tuple key per face to those read 459 B: both fail the bound.
-BYTES_PER_FACE_N7 = 356
+# A BarredFace and a word tuple per face with one tuple of lower ids each
+# read 310 B.
+BYTES_PER_FACE_N7 = 156
+
+# invariant_factors(t, 0) on enumerate_faces(7), incidence and id lists
+# already built, peaked at 1.01 MB under tracemalloc (Python 3.11, 64-bit
+# Linux); the bound allows 15%.  Eliminating a private copy of each boundary
+# peaked at 1.33 MB.
+INVARIANTS_PEAK_N7 = 1_160_000
 
 
 def test_index_keys_are_the_face_words():
     t = enumerate_faces(6)
-    assert len(t.id_of_word) == len(t.faces)
-    for word, fid in t.id_of_word.items():
-        assert word is t.faces[fid].word
+    assert len(t.id_of_word) == len(t.words) == len(t.bars) == len(t)
+    for (word, fid), listed in zip(t.id_of_word.items(), t.words):
+        assert type(word) is bytes
+        assert word is listed and t.words[fid] is word
 
 
-def test_incidence_and_dims_share_the_index_ints():
+def test_incidence_is_flat_and_dims_share_the_index_ints():
     t = enumerate_faces(6)
     ids = list(t.id_of_word.values())
-    covers = t.cover_incidence()
-    assert all(type(lowers) is tuple for lowers in covers)
-    for lowers in covers:
-        assert all(lower is ids[lower] for lower in lowers)
+    offsets, lowers = t.cover_incidence()
+    assert type(offsets) is array and type(lowers) is array
+    assert len(offsets) == len(t) + 1
     for dim_ids in t.ids_by_dim().values():
         assert all(fid is ids[fid] for fid in dim_ids)
+
+
+def test_digraph_arcs_share_the_index_ints():
+    t = enumerate_faces(6)
+    ids = list(t.id_of_word.values())
+    for dual in (False, True):
+        g = build_digraph(t, build_matching(t, dual=dual))
+        assert all(v is ids[v] for targets in g.out for v in targets)
 
 
 def test_table_bytes_per_face_n7():
@@ -46,3 +65,16 @@ def test_table_bytes_per_face_n7():
         tracemalloc.stop()
     per_face = size / math.factorial(7)
     assert per_face <= BYTES_PER_FACE_N7, f"{per_face:.0f} B per face"
+
+
+def test_smith_forms_peak_n7():
+    t = enumerate_faces(7)
+    t.cover_incidence()
+    t.ids_by_dim()
+    tracemalloc.start()
+    try:
+        invariant_factors(t, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= INVARIANTS_PEAK_N7, f"peak {peak} B"

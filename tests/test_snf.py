@@ -1,5 +1,6 @@
 """Integer Smith form and ranks, cross-checked against sympy and dense Gauss."""
 
+import copy
 import random
 import subprocess
 import sys
@@ -99,7 +100,7 @@ def test_transpose_invariance():
         cols = rng.randrange(5)
         dense = [[rng.randrange(-8, 9) for _ in range(cols)] for _ in range(rows)]
         sparse = rows_from_dense(dense)
-        invariants = smith_normal_form(sparse)
+        invariants = smith_normal_form(copy.deepcopy(sparse))  # consumes its argument
         transposed = smith_normal_form(transpose_rows(sparse))
         assert invariants == transposed
         assert rank_q(invariants) == rank_q(transposed)
@@ -114,8 +115,19 @@ def test_unit_heavy_sparse_matrix():
     for _ in range(200):
         dense[rng.randrange(40)][rng.randrange(40)] = rng.choice([-1, 1, 1, -1, 2])
     sparse = rows_from_dense(dense)
-    assert smith_normal_form(sparse) == sympy_invariants(dense)
+    assert smith_normal_form(copy.deepcopy(sparse)) == sympy_invariants(dense)
     assert rank_q(smith_normal_form(sparse)) == sympy.Matrix(dense).rank()
+
+
+def test_elimination_runs_in_the_rows_it_is_given():
+    # zero entries and empty rows are dropped in place; what is left is the
+    # residual of the elimination, so the argument is consumed
+    rows = {0: {0: 0, 1: 2}, 1: {}}
+    assert smith_normal_form(rows) == (2,)
+    assert rows == {0: {1: 2}}
+    rows = rows_from_dense([[1, 1], [1, -1]])
+    assert smith_normal_form(rows) == (1, 2)
+    assert rows == {1: {1: -2}}
 
 
 def test_dense_fallback_refuses_a_large_residual():

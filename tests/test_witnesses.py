@@ -148,4 +148,4 @@ def test_unit_free_face_blocks_boundary_status(table):
     fid = t.id_of_face(f)
     for g in t.faces:
         if g.dim == f.dim + 1:
-            assert fid not in covers_down(t, g)
+            assert fid not in covers_down(t, bytes(g.word))
