@@ -15,9 +15,9 @@ from hcomplex import (
     check_acyclic,
     check_thresholds,
     critical_faces,
+    diagnose_word,
     dual_partner,
     enumerate_faces,
-    lowest_matchable,
     morse_numbers,
     partner,
     verify_certificate,
@@ -27,9 +27,9 @@ from hcomplex import (
 # a face and its partner differ by one adjacent swap of the word
 f = BarredFace(7, ((0, 3), (1, 2, 4, 6), (5, 7, 8)))
 g = partner(f)
-diag = lowest_matchable(f)
+block, rank, kind, p = diagnose_word(f.word)
 print(f"{f}  <->  {g}")
-print(f"matched through block {diag.block_index} ({diag.kind.value}, rank {diag.start_rank})")
+print(f"matched through block {block} ({kind.value}, rank {rank}): swap word positions {p}, {p + 1}")
 assert partner(g) == f
 
 # the dual pairs the same faces after v -> n+1-v conjugation

@@ -61,7 +61,6 @@ from .perms import (
     diagnose_word,
     face_from_chain,
     face_from_perm,
-    lowest_matchable,
 )
 from .reports import (
     ConjectureReport,

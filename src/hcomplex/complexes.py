@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import gt
 
-from .perms import BarredFace, face_from_perm
+from .perms import BarredFace, erase_bar, face_from_perm, run_cuts
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
 
@@ -155,21 +155,19 @@ def covers_down(table: FaceTable, word: bytes) -> tuple[int, ...]:
     """The ids of the faces covered by the face of ``word``, in bar order:
     entry i erases bar i.
 
-    Erasing a bar sorts the two runs of the word it separates into one; the
-    sorted word is looked up in ``id_of_word``.  Raises AssertionError unless
-    the face found there has one bar fewer in ``bars`` (one block fewer).
+    Erasing a bar is ``perms.erase_bar``; the word it gives is looked up in
+    ``id_of_word``.  Raises AssertionError unless the face found there has
+    one bar fewer in ``bars`` (one block fewer).
 
     >>> t = enumerate_faces(3)
     >>> covers_down(t, t.words[5])
     (3, 4)
     """
     ids, bars = table.id_of_word, table.bars
-    # word positions where the blocks start, and the end of the last block
-    cuts = [0, *(i for i in range(1, len(word)) if word[i - 1] > word[i]), len(word)]
+    cuts = run_cuts(word)
     lowers = []
     for bar in range(len(cuts) - 2):
-        lo, hi = cuts[bar], cuts[bar + 2]
-        lower = ids[word[:lo] + bytes(sorted(word[lo:hi])) + word[hi:]]
+        lower = ids[erase_bar(word, cuts, bar)]
         if bars[lower] != len(cuts) - 3:
             raise AssertionError(
                 f"erasing bar {bar} of {tuple(word)} gives face {lower} with "

@@ -34,8 +34,8 @@ from dataclasses import field
 from typing import Collection, Mapping
 
 from .complexes import FaceTable, enumerate_faces
-from .perms import BarredFace, frozen_slots
-from .snf import Rows, rank_mod_p, rank_q, smith_normal_form, transpose_rows
+from .perms import BarredFace, erase_bar, frozen_slots, run_cuts
+from .snf import Rows, rank_mod_p, rank_q, smith_normal_form
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
 _FIELD_CHAR = {"F2": 2, "F3": 3, "F5": 5}
@@ -47,7 +47,7 @@ class BoundaryMatrix:
 
     Row and column indices are positions within the per-dimension id lists of
     the face table, not global face ids.  It is stored by column: ``cols``
-    holds each dim-face's boundary, and ``rows`` is its transpose.
+    holds each dim-face's boundary.
     """
 
     n: int
@@ -55,10 +55,6 @@ class BoundaryMatrix:
     n_rows: int
     n_cols: int
     cols: Rows
-
-    @property
-    def rows(self) -> Rows:
-        return transpose_rows(self.cols)
 
     @property
     def nnz(self) -> int:
@@ -231,28 +227,12 @@ class SignedChain:
         return len(self.coeffs)
 
 
-def _erase_bar(word: tuple[int, ...], cuts: list[int], i: int) -> tuple[int, ...]:
-    """The word with bar i erased: the two runs it separates sorted into one.
-
-    ``cuts`` holds the start of each run and the word's length.  Raises
-    ValueError if the merged run meets an ascent at the bar below or above
-    it, which no valid face allows.
-    """
-    lo, hi = cuts[i], cuts[i + 2]
-    merged = sorted(word[lo:hi])
-    if (lo and word[lo - 1] < merged[0]) or (hi < len(word) and merged[-1] < word[hi]):
-        raise ValueError(f"erasing bar {i} of {word} at {cuts} dissolves a neighbouring bar")
-    return word[:lo] + tuple(merged) + word[hi:]
-
-
 def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
-    Erasing bar i of a face sorts the two runs of its word that the bar
-    separates into one, with sign (-1)^i, the rule ``covers_down`` applies
-    on the table.  Terms are summed by their words, and only those with a
-    non-zero coefficient become faces.  Raises ValueError if a merge
-    dissolves a neighbouring bar, which no valid face allows.
+    Erasing bar i of a face is ``perms.erase_bar``, as in ``covers_down``
+    on the table, with sign (-1)^i.  Terms are summed by their words, and
+    only those with a non-zero coefficient become faces.
 
     >>> from .perms import face_from_perm
     >>> f = face_from_perm((2, 1, 3))
@@ -262,9 +242,9 @@ def boundary_of_chain(chain: SignedChain) -> SignedChain:
     acc: dict[tuple[int, ...], int] = {}
     for face, c in chain.coeffs.items():
         word = face.word
-        cuts = [0, *(i for i in range(1, len(word)) if word[i - 1] > word[i]), len(word)]
+        cuts = run_cuts(word)
         for i in range(len(cuts) - 2):
-            key = _erase_bar(word, cuts, i)
+            key = erase_bar(word, cuts, i)
             acc[key] = acc.get(key, 0) + (c if i % 2 == 0 else -c)
     n = chain.n
     return SignedChain(n, chain.dim - 1, {BarredFace.from_word(n, w): v for w, v in acc.items() if v})

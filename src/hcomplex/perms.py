@@ -11,9 +11,11 @@ word (one block) is the empty face.  There is no separate permutation type:
 ``face_from_perm`` takes the one-line notation a_1 .. a_n, ``bar_ranks``
 gives the descents and ``complement_word`` the complement.
 
-The matching rules read the word too: ``diagnose_word`` finds the lowest
-matchable block in one pass over the run ends and names the adjacent swap
-that gives the matched face.
+Two helpers hold the rules on words, ``bytes`` or tuples: ``run_cuts``
+finds the runs, and ``erase_bar`` sorts the two runs a bar separates into
+one, which gives a face the face it covers.  ``diagnose_word`` finds the
+lowest matchable block in one pass over the run cuts and names the adjacent
+swap that gives the matched face.
 
 >>> f = face_from_perm((1, 3, 2, 6, 5, 4))
 >>> f.word
@@ -30,9 +32,10 @@ import enum
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from operator import gt
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 Block = tuple[int, ...]
+Word = TypeVar("Word", bytes, tuple[int, ...])
 
 
 def _check_sentinel_word(word: Sequence[int], n: int) -> None:
@@ -120,8 +123,7 @@ class BarredFace:
         >>> BarredFace(4, ((0, 1, 3), (2, 4, 5))).bar_ranks()
         (3,)
         """
-        w = self.word
-        return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        return tuple(run_cuts(self.word)[1:-1])
 
     def chain(self) -> tuple[int, ...]:
         """The face as a chain of subsets of {1..n}, one bitmask per bar.
@@ -132,19 +134,8 @@ class BarredFace:
         >>> [bin(m) for m in BarredFace(4, ((0, 1, 3), (2, 4, 5))).chain()]
         ['0b1010']
         """
-        masks = []
-        acc = 0
-        for x, y in zip(self.word, self.word[1:]):
-            acc |= 1 << x
-            if x > y:
-                masks.append(acc & ~1)  # drop the sentinel bit 0
-        return tuple(masks)
-
-    def start_rank(self, block_index: int) -> int:
-        """Rank of the bar below a block; 1 for block 0 by convention."""
-        if block_index == 0:
-            return 1
-        return self.bar_ranks()[block_index - 1]
+        w = self.word  # w[0] is the sentinel 0, which sets no bit
+        return tuple(sum(1 << v for v in w[1:cut]) for cut in run_cuts(w)[1:-1])
 
     def __repr__(self) -> str:
         if self.n <= 8:  # all letters are single digits
@@ -159,16 +150,39 @@ def _init_face(face: BarredFace, n: int, word: tuple[int, ...], dim: int) -> Non
     object.__setattr__(face, "dim", dim)
 
 
+def run_cuts(word: Sequence[int]) -> list[int]:
+    """The word positions where its maximal increasing runs start, then its
+    length: 0, each descent position, len(word).  Bar i separates the runs
+    ``word[cuts[i]:cuts[i + 1]]`` and ``word[cuts[i + 1]:cuts[i + 2]]``.
+
+    >>> run_cuts((0, 1, 3, 2, 6, 5, 4, 7))
+    [0, 3, 5, 6, 8]
+    """
+    return [0, *itertools.compress(range(1, len(word)), map(gt, word, word[1:])), len(word)]
+
+
+def erase_bar(word: Word, cuts: list[int], i: int) -> Word:
+    """The word with bar i erased: the two runs it separates sorted into one.
+
+    ``cuts`` is ``run_cuts(word)``.  The result has the word's own type,
+    ``bytes`` on the face table and a tuple without one.  As the cuts are the
+    word's own descents, the letter before the merged run exceeds its least
+    letter and the letter after it is below its greatest, so the bars either
+    side stay descents: the result has exactly one block fewer.
+
+    >>> erase_bar((0, 3, 1, 2, 4), [0, 2, 5], 0)
+    (0, 1, 2, 3, 4)
+    >>> erase_bar(b"\\0\\3\\1\\2\\4", [0, 2, 5], 0)
+    b'\\x00\\x01\\x02\\x03\\x04'
+    """
+    lo, hi = cuts[i], cuts[i + 2]
+    return word[:lo] + type(word)(sorted(word[lo:hi])) + word[hi:]
+
+
 def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
     """Cut a word into maximal increasing runs."""
-    blocks: list[Block] = []
-    start = 0
-    for i in range(1, len(word)):
-        if word[i - 1] > word[i]:
-            blocks.append(tuple(word[start:i]))
-            start = i
-    blocks.append(tuple(word[start:]))
-    return tuple(blocks)
+    cuts = run_cuts(word)
+    return tuple(tuple(word[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def face_from_perm(core: Sequence[int]) -> BarredFace:
@@ -252,14 +266,14 @@ def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] 
     >>> diagnose_word((0, 2, 1, 3, 4)) is None
     True
     """
-    ends = [i for i in range(1, len(word)) if word[i - 1] > word[i]]
-    ends.append(len(word))
-    start = 0
-    for i, end in enumerate(ends):
+    cuts = run_cuts(word)
+    top_block = len(cuts) - 2
+    for i in range(top_block + 1):
+        start, end = cuts[i], cuts[i + 1]
         m = end - start
         if m == 1:
-            if i + 1 < len(ends):
-                above = ends[i + 1] - end
+            if i < top_block:
+                above = cuts[i + 2] - end
                 if above >= 3 and above % 2 and word[start] < word[end + 1]:
                     return i, start, MatchableType.ONE_SPLIT, start
         else:
@@ -268,7 +282,7 @@ def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] 
             # s: a 2-block c0 c1 joins when the block before it ends x y with
             # x < c0 and y < c1, and the block before that ends below c0
             s, seen, hi = 0, -1, end
-            for top in ends[i + 1:]:
+            for top in cuts[i + 2:]:
                 c0 = word[hi]
                 if top - hi != 2 or word[hi - 2] > c0 or word[hi - 1] > word[hi + 1] or seen > c0:
                     break
@@ -280,27 +294,5 @@ def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] 
                 i and not m % 2 and word[start - 1] > word[start + 1 if m > 2 else end]
             ):
                 return i, start or 1, MatchableType.TWO_SPLIT, end - 1
-        start = end
     return None
 
-
-@frozen_slots
-class IntervalDiagnosis:
-    """Lowest matchable block of a face: index, rank of its lower bar, and
-    the match type."""
-
-    block_index: int
-    start_rank: int
-    kind: MatchableType
-
-
-def lowest_matchable(f: BarredFace) -> IntervalDiagnosis | None:
-    """First matchable block from the bottom, or None for a critical face.
-
-    >>> lowest_matchable(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
-    True
-    >>> lowest_matchable(BarredFace(3, ((0, 1, 2, 3, 4),)))
-    IntervalDiagnosis(block_index=0, start_rank=1, kind=<MatchableType.TWO_MERGED: 'two-merged'>)
-    """
-    diag = diagnose_word(f.word)
-    return None if diag is None else IntervalDiagnosis(*diag[:3])

@@ -104,6 +104,18 @@ def betti_payload(bt: BettiTable) -> dict:
     }
 
 
+# The pass/fail checks of a report row, in column order: (payload and CSV
+# name, markdown column, ConjectureRow field).  The window check compares
+# the observed dimensions with the expected ones.
+CHECKS = (
+    ("primalMorseOk", "primal", "primal_morse_ok"),
+    ("dualMorseOk", "dual", "dual_morse_ok"),
+    ("acyclicOk", "acyclic", "acyclic_ok"),
+    ("symmetryOk", "symmetry", "symmetry_ok"),
+    ("witnessOk", "witness", "witness_ok"),
+)
+
+
 @frozen_slots
 class ConjectureRow:
     n: int
@@ -118,15 +130,8 @@ class ConjectureRow:
     def failed_checks(self) -> tuple[str, ...]:
         """The payload names of the checks this row fails; the window check
         is named by its observed dimensions."""
-        flags = {
-            "observedNonzeroDims": self.expected == self.observed,
-            "primalMorseOk": self.primal_morse_ok,
-            "dualMorseOk": self.dual_morse_ok,
-            "acyclicOk": self.acyclic_ok,
-            "symmetryOk": self.symmetry_ok,
-            "witnessOk": self.witness_ok,
-        }
-        return tuple(name for name, ok in flags.items() if not ok)
+        window = () if self.expected == self.observed else ("observedNonzeroDims",)
+        return window + tuple(name for name, _, field in CHECKS if not getattr(self, field))
 
     @property
     def verdict(self) -> str:
@@ -192,11 +197,7 @@ def conjecture_payload(report: ConjectureReport) -> dict:
             "n": r.n,
             "expectedNonzeroDims": list(r.expected),
             "observedNonzeroDims": list(r.observed),
-            "primalMorseOk": r.primal_morse_ok,
-            "dualMorseOk": r.dual_morse_ok,
-            "acyclicOk": r.acyclic_ok,
-            "symmetryOk": r.symmetry_ok,
-            "witnessOk": r.witness_ok,
+            **{name: getattr(r, field) for name, _, field in CHECKS},
             "verdict": r.verdict,
         }
         for r in report.rows
@@ -217,43 +218,25 @@ def render_report(report: ConjectureReport, fmt: str = "md") -> str:
     """
     if fmt == "json":
         return json.dumps(conjecture_payload(report), indent=2, sort_keys=True) + "\n"
+    flags = [[getattr(r, field) for _, _, field in CHECKS] for r in report.rows]
     if fmt == "csv":
-        head = (
-            "n,expectedNonzeroDims,observedNonzeroDims,primalMorseOk,"
-            "dualMorseOk,acyclicOk,symmetryOk,witnessOk,verdict"
-        )
+        head = ["n", "expectedNonzeroDims", "observedNonzeroDims", *(c[0] for c in CHECKS), "verdict"]
         lines = [head] + [
-            ",".join(
-                [
-                    str(r.n),
-                    ";".join(map(str, r.expected)),
-                    ";".join(map(str, r.observed)),
-                    str(r.primal_morse_ok).lower(),
-                    str(r.dual_morse_ok).lower(),
-                    str(r.acyclic_ok).lower(),
-                    str(r.symmetry_ok).lower(),
-                    str(r.witness_ok).lower(),
-                    r.verdict,
-                ]
-            )
-            for r in report.rows
+            [str(r.n), ";".join(map(str, r.expected)), ";".join(map(str, r.observed)),
+             *(str(ok).lower() for ok in oks), r.verdict]
+            for r, oks in zip(report.rows, flags)
         ]
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(cells) + "\n" for cells in lines)
     if fmt == "md":
-        head = (
-            "| n | expected nonzero dims | observed | primal | dual "
-            "| acyclic | symmetry | witness | verdict |"
-        )
-        rule = "|---|---|---|---|---|---|---|---|---|"
-        mark = {True: "ok", False: "FAIL"}
-        lines = [head, rule] + [
-            f"| {r.n} | {_dims(r.expected)} | {_dims(r.observed)} "
-            f"| {mark[r.primal_morse_ok]} | {mark[r.dual_morse_ok]} "
-            f"| {mark[r.acyclic_ok]} | {mark[r.symmetry_ok]} "
-            f"| {mark[r.witness_ok]} | {r.verdict} |"
-            for r in report.rows
+        head = ["n", "expected nonzero dims", "observed", *(c[1] for c in CHECKS), "verdict"]
+        lines = [head] + [
+            [str(r.n), _dims(r.expected), _dims(r.observed),
+             *("ok" if ok else "FAIL" for ok in oks), r.verdict]
+            for r, oks in zip(report.rows, flags)
         ]
-        return "\n".join(lines) + "\n"
+        rows = ["| " + " | ".join(cells) + " |" for cells in lines]
+        rows.insert(1, "|" + "---|" * len(head))
+        return "\n".join(rows) + "\n"
     raise ValueError(f"format must be one of {RENDER_FORMATS}")
 
 

@@ -38,14 +38,6 @@ def rows_from_dense(dense: list[list[int]]) -> Rows:
     }
 
 
-def transpose_rows(rows: Rows) -> Rows:
-    out: Rows = {}
-    for i, row in rows.items():
-        for j, v in row.items():
-            out.setdefault(j, {})[i] = v
-    return out
-
-
 class _Eliminator:
     """Eliminates the rows dict it is given, in place: zero entries and
     empty rows are dropped from it, and it ends as the residual."""

@@ -181,6 +181,46 @@ def test_cli_conjecture_table(capsys):
     assert out.count("PASS") >= 5 and "|" in out
 
 
+REPORT_N5 = {
+    "csv": """\
+n,expectedNonzeroDims,observedNonzeroDims,primalMorseOk,dualMorseOk,acyclicOk,symmetryOk,witnessOk,verdict
+1,-1,-1,true,true,true,true,true,PASS
+2,,,true,true,true,true,true,PASS
+3,0,0,true,true,true,true,true,PASS
+4,0;1,0;1,true,true,true,true,true,PASS
+5,1,1,true,true,true,true,true,PASS
+""",
+    "md": """\
+| n | expected nonzero dims | observed | primal | dual | acyclic | symmetry | witness | verdict |
+|---|---|---|---|---|---|---|---|---|
+| 1 | {-1} | {-1} | ok | ok | ok | ok | ok | PASS |
+| 2 | {} | {} | ok | ok | ok | ok | ok | PASS |
+| 3 | {0} | {0} | ok | ok | ok | ok | ok | PASS |
+| 4 | {0,1} | {0,1} | ok | ok | ok | ok | ok | PASS |
+| 5 | {1} | {1} | ok | ok | ok | ok | ok | PASS |
+""",
+}
+
+FAILING_ROW = {
+    "csv": "4,0;1,0,false,true,true,false,true,FAIL",
+    "md": "| 4 | {0,1} | {0} | FAIL | ok | ok | FAIL | ok | FAIL |",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_N5))
+def test_cli_report_csv_and_md_frozen_output(fmt, capsys):
+    from dataclasses import replace
+
+    from hcomplex import reports
+
+    assert main(["report", "--n-max", "5", "--format", fmt]) == 0
+    assert capsys.readouterr().out == REPORT_N5[fmt]
+    row = replace(reports.conjecture_row(4), observed=(0,), primal_morse_ok=False,
+                  symmetry_ok=False)
+    text = reports.render_report(reports.ConjectureReport((row,)), fmt)
+    assert text.splitlines()[-1] == FAILING_ROW[fmt]
+
+
 def test_cli_report_formats_and_out_file(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

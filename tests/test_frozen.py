@@ -25,7 +25,6 @@ from hcomplex.morse import (
     morse_inequalities,
     morse_numbers,
 )
-from hcomplex.perms import IntervalDiagnosis, MatchableType
 from hcomplex.reports import ConjectureReport, check_matching_side, conjecture_row
 from hcomplex.witnesses import cycle_witness, verify_witness, witness_spec
 
@@ -35,7 +34,6 @@ NUMBERS = morse_numbers(T, M)
 
 INSTANCES = {
     "BarredFace": lambda: T.faces[5],
-    "IntervalDiagnosis": lambda: IntervalDiagnosis(0, 1, MatchableType.ONE_SPLIT),
     "ShellingReport": lambda: lex_shelling_check(3),
     "MatchingReport": lambda: verify_well_defined(T, M),
     "AcyclicityCertificate": lambda: check_acyclic(build_digraph(T, M)),

@@ -24,7 +24,6 @@ from hcomplex.perms import (
     complement_word,
     diagnose_word,
     face_from_perm,
-    lowest_matchable,
 )
 
 PAIRED = {
@@ -119,7 +118,7 @@ def diagnosis_by_blocks(f: BarredFace):
     for i in range(len(f.blocks)):
         kind = classify_interval(f, i)
         if kind is not None:
-            return i, f.start_rank(i), kind
+            return i, (1, *f.bar_ranks())[i], kind  # rank of the bar below; 1 for block 0
     return None
 
 
@@ -325,9 +324,11 @@ def assert_local_match(f, g, match, structure):
     assert abs(g.dim - f.dim) == 1
     lower, upper = (f, g) if f.dim < g.dim else (g, f)
     assert set(lower.chain()) < set(upper.chain())
-    df, dg = lowest_matchable(structure(f)), lowest_matchable(structure(g))
-    assert df.start_rank == dg.start_rank
-    assert PAIRED[df.kind] is dg.kind
+    (_, rank_f, kind_f, _), (_, rank_g, kind_g, _) = (
+        diagnose_word(structure(h).word) for h in (f, g)
+    )
+    assert rank_f == rank_g
+    assert PAIRED[kind_f] is kind_g
     assert one_adjacent_swap_apart(f.word, g.word)
 
 

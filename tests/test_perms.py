@@ -3,7 +3,7 @@
 import copy
 import pickle
 from dataclasses import FrozenInstanceError
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,11 @@ from hcomplex.perms import (
     MatchableType,
     blocks_of_word,
     complement_word,
+    diagnose_word,
+    erase_bar,
     face_from_chain,
     face_from_perm,
-    lowest_matchable,
+    run_cuts,
 )
 # the block-level matching rules and the block surgery that the word-level
 # diagnosis and partner replaced are kept as test oracles
@@ -84,7 +86,6 @@ def test_face_dimension_counts_bars():
     assert f.blocks == ((0, 1, 3), (2, 6), (5,), (4, 7))
     assert f.dim == 2
     assert f.bar_ranks() == (3, 5, 6)
-    assert f.start_rank(0) == 1 and f.start_rank(1) == 3
 
 
 def test_face_validation_rejects_non_descent_bars():
@@ -364,17 +365,40 @@ def test_match_clauses_are_mutually_exclusive_and_agree():
 def test_lowest_matchable_picks_first_matchable_block():
     for n in range(1, 7):
         for f in all_faces(n):
-            diag = lowest_matchable(f)
+            diag = diagnose_word(f.word)
             kinds = [classify_interval(f, i) for i in range(len(f.blocks))]
             firsts = [i for i, k in enumerate(kinds) if k is not None]
             if not firsts:
                 assert diag is None
             else:
                 i = firsts[0]
-                assert (diag.block_index, diag.kind) == (i, kinds[i])
-                assert diag.start_rank == f.start_rank(i)
+                # the start rank is the rank of the bar below; 1 for block 0
+                assert diag[:3] == (i, (1, *f.bar_ranks())[i], kinds[i])
 
 
 def test_blocks_of_word_cuts_at_descents():
     assert blocks_of_word((0, 2, 1, 3, 4)) == ((0, 2), (1, 3, 4))
     assert blocks_of_word((0, 1, 2, 3)) == ((0, 1, 2, 3),)
+
+
+sentinel_words = st.integers(1, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda core: (0, *core, n + 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentinel_words)
+def test_run_cuts_and_erase_bar_agree_on_bytes_and_tuples(word):
+    cuts = run_cuts(word)
+    blocks = blocks_of_word(word)
+    assert sum(blocks, ()) == word
+    assert [0, *accumulate(map(len, blocks))] == cuts
+    assert run_cuts(bytes(word)) == cuts
+    for i in range(len(cuts) - 2):
+        erased = erase_bar(word, cuts, i)
+        assert type(erased) is tuple
+        assert erase_bar(bytes(word), cuts, i) == bytes(erased)
+        # the two runs either side of bar i become one, the others stay
+        assert blocks_of_word(erased) == (
+            blocks[:i] + (tuple(sorted(blocks[i] + blocks[i + 1])),) + blocks[i + 2:]
+        )

@@ -16,8 +16,15 @@ from hcomplex.snf import (
     rank_q,
     rows_from_dense,
     smith_normal_form,
-    transpose_rows,
 )
+
+
+def transpose_rows(rows):
+    out = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
 
 
 def sympy_invariants(dense):
