@@ -100,7 +100,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_morse(args: argparse.Namespace) -> int:
     table = _table(args, args.n)
-    side = check_matching_side(table, build_matching(table, dual=args.dual))
+    side = check_matching_side(table, build_matching(table, dual=args.dual), digest=True)
     if side.violations:
         raise Falsification(f"matching or Morse numbers: {side.violations[:3]}")
     if not side.acyclic:

@@ -20,7 +20,9 @@ the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .complexes import FaceTable
 from .perms import BarredFace, MatchableType, complement_word, diagnose_word
@@ -87,25 +89,62 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
 # -- whole-table matchings ----------------------------------------------------
 
 
+class PairView(Mapping):
+    """Read-only face id -> partner id over a partner array, critical faces
+    left out; ``len`` is the matched count, kept by the ``MatchingMap``."""
+
+    def __init__(self, partners: array, matched: int) -> None:
+        self._partners, self._matched = partners, matched
+
+    def __getitem__(self, fid: int) -> int:
+        gid = self._partners[fid] if 0 <= fid < len(self._partners) else -1
+        if gid < 0:
+            raise KeyError(fid)
+        return gid
+
+    def __contains__(self, fid: object) -> bool:
+        return type(fid) is int and 0 <= fid < len(self._partners) and self._partners[fid] >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(count(), map((-1).__lt__, self._partners))
+
+    def __len__(self) -> int:
+        return self._matched
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class MatchingMap:
-    """One side's matching: each matched face id to its cover-pair partner.
+    """One side's matching: ``partners[f]`` is the id of face f's cover-pair
+    partner, -1 when f is critical.  ``matched`` counts the faces with a
+    partner, and ``pairs`` reads the array as a mapping.
 
     >>> from .complexes import enumerate_faces
-    >>> build_matching(enumerate_faces(3), dual=True)
-    MatchingMap(n=3, dual=True, pairs={4: 5, 5: 4})
+    >>> m = build_matching(enumerate_faces(3), dual=True)
+    >>> m.partners, m.matched, m.pairs
+    (array('i', [-1, -1, -1, -1, 5, 4]), 2, {4: 5, 5: 4})
     """
 
     n: int
     dual: bool
-    pairs: dict[int, int]
+    partners: array
+    matched: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matched = len(self.partners) - self.partners.count(-1)
+
+    @property
+    def pairs(self) -> PairView:
+        return PairView(self.partners, self.matched)
 
 
 def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     """Match every non-critical face through its lowest matchable block.
 
     The first call per table keeps one ``partner`` id per face (-1: critical);
-    the dual relabels those pairs f -> N-1-f.  Each call returns a new dict.
+    the dual relabels those pairs f -> N-1-f.  Each call returns a new array.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -115,12 +154,13 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     if table._partners is None:
         id_of_face, found = table.id_of_face, map(partner, table.faces)
         table._partners = array("i", (-1 if g is None else id_of_face(g) for g in found))
+    primal = table._partners
     if dual:
-        last = len(table) - 1
-        pairs = {f: last - g for f, g in enumerate(table._partners[::-1]) if g >= 0}
+        last = len(primal) - 1
+        partners = array("i", (-1 if g < 0 else last - g for g in reversed(primal)))
     else:
-        pairs = {f: g for f, g in enumerate(table._partners) if g >= 0}
-    return MatchingMap(table.n, dual, pairs)
+        partners = array("i", primal)
+    return MatchingMap(table.n, dual, partners)
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
@@ -136,10 +176,10 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     {-1: [], 0: [2, 3, 4], 1: [5]}
     """
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
-    for fid, (w, bars) in enumerate(zip(table.words, table.bars)):
-        if fid in matching.pairs:
-            continue
-        out[bars - 1].append(fid)
+    words, bars = table.words, table.bars
+    for fid in compress(count(), map((0).__gt__, matching.partners)):
+        w = words[fid]
+        out[bars[fid] - 1].append(fid)
         fours = zip(w, w[1:], w[2:], w[3:])
         if matching.dual:
             if any(a > b > c > d for a, b, c, d in fours):
@@ -174,16 +214,19 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     True
     """
     violations: list[str] = []
-    pairs = matching.pairs
+    partners = matching.partners
+    size = len(partners)
     words, bars = table.words, table.bars
-    for fid, gid in pairs.items():
-        if pairs.get(gid) != fid or gid == fid:
+    offsets, lowers = table.cover_incidence()
+    for fid in compress(count(), map((-1).__lt__, partners)):
+        gid = partners[fid]
+        if gid >= size or partners[gid] != fid or gid == fid:
             violations.append(f"{fid}<->{gid}: not a fixed-point-free involution")
             continue
         if fid > gid:
             continue  # handle each pair once
         lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
-        if lower not in table.lowers(upper):
+        if lower not in lowers[offsets[upper]:offsets[upper + 1]]:
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(words[fid], words[gid]):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
@@ -201,13 +244,13 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             violations.append(
                 f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse"
             )
-    if len(pairs) % 2:
+    if matching.matched % 2:
         violations.append("odd number of matched faces")
     return MatchingReport(
         n=table.n,
         dual=matching.dual,
         ok=not violations,
-        pair_count=len(pairs) // 2,
-        critical_count=len(table) - len(pairs),
+        pair_count=matching.matched // 2,
+        critical_count=len(table) - matching.matched,
         violations=tuple(violations[:20]),
     )

@@ -8,9 +8,11 @@ or an explicit directed cycle when verification fails.
 
 from __future__ import annotations
 
-import hashlib
-from collections import deque
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import not_
 
 from .complexes import FaceTable
 from .matching import MatchingMap, critical_faces
@@ -18,89 +20,123 @@ from .matching import MatchingMap, critical_faces
 
 @dataclass
 class MorseDigraph:
-    """Adjacency lists over face ids; arc_count kept for reporting."""
+    """Arcs in compressed rows: node v's out-neighbours are
+    ``targets[offsets[v]:offsets[v + 1]]``, both ``array('i')``."""
 
     n: int
     dual: bool
-    out: list[list[int]]
-    arc_count: int
+    offsets: array
+    targets: array
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def arc_count(self) -> int:
+        return len(self.targets)
+
+    def out(self, v: int) -> array:
+        return self.targets[self.offsets[v]:self.offsets[v + 1]]
 
 
 def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     """Orient the Hasse diagram: matched covers up, all others down.
 
+    A face u covering l gives the arc l -> u when l's partner is u, and
+    u -> l otherwise.  Node v lists its arcs in the order a walk over the
+    uppers in id order, each over its covers in bar order, meets them: its
+    down arcs in bar order, with its up arc, to p, before them when p < v
+    and after them when p > v.
+
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
     >>> t = enumerate_faces(3)
     >>> g = build_digraph(t, build_matching(t))
-    >>> g.arc_count, g.out[0], g.out[5]
-    (6, [1], [3, 4])
+    >>> g.arc_count, g.out(0), g.out(5)
+    (6, array('i', [1]), array('i', [3, 4]))
     """
     offsets, lowers = table.cover_incidence()
-    ids = list(table.id_of_word.values())  # ids[i] is i: every arc holds the index's ints
-    out: list[list[int]] = [[] for _ in ids]
-    pairs = matching.pairs
-    for upper in ids:
-        for lower in lowers[offsets[upper]:offsets[upper + 1]]:
-            lower = ids[lower]
-            if pairs.get(lower) == upper:
-                out[lower].append(upper)
-            else:
-                out[upper].append(lower)
-    return MorseDigraph(table.n, matching.dual, out, len(lowers))
+    partners = matching.partners
+    up = array("i", [-1]) * len(partners)  # the head of each node's up arc
+    into = bytearray(len(partners))  # the number of up arcs into each node
+    for v in compress(count(), map((-1).__lt__, partners)):
+        p = partners[v]
+        if v in lowers[offsets[p]:offsets[p + 1]]:
+            up[v] = p
+            into[p] += 1
+    out_offsets, targets = array("i", [0]), array("i")
+    append, extend, mark = targets.append, targets.extend, out_offsets.append
+    lo = 0
+    for v, hi, p, k in zip(count(), islice(offsets, 1, None), up, into):
+        down = lowers[lo:hi]
+        if k:
+            down = compress(down, map(v.__ne__, map(up.__getitem__, down)))
+        if p < 0:
+            extend(down)
+        elif p < v:
+            append(p)
+            extend(down)
+        else:
+            extend(down)
+            append(p)
+        mark(len(targets))
+        lo = hi
+    return MorseDigraph(table.n, matching.dual, out_offsets, targets)
 
 
 @dataclass(frozen=True)
 class AcyclicityCertificate:
     acyclic: bool
-    order: tuple[int, ...] | None  # topological order when acyclic
-    cycle: tuple[int, ...] | None  # a directed cycle otherwise
-    digest: str                    # sha256 over the order or cycle
+    order: array | tuple[int, ...] | None  # topological order when acyclic
+    cycle: tuple[int, ...] | None          # a directed cycle otherwise
 
+    def digest(self) -> str:
+        """sha256 over "order" or "cycle", then each id as 8 little-endian bytes."""
+        import hashlib  # only a printed certificate needs it
 
-def _digest(kind: str, seq: tuple[int, ...]) -> str:
-    h = hashlib.sha256()
-    h.update(kind.encode())
-    for x in seq:
-        h.update(x.to_bytes(8, "little"))
-    return h.hexdigest()
+        kind, seq = ("order", self.order) if self.acyclic else ("cycle", self.cycle)
+        ids = array("q", seq or ())
+        if sys.byteorder != "little":
+            ids.byteswap()
+        return hashlib.sha256(kind.encode() + ids.tobytes()).hexdigest()
 
 
 def check_acyclic(g: MorseDigraph) -> AcyclicityCertificate:
-    """Kahn peeling; on failure, walk the leftover subgraph back to a cycle.
+    """Kahn peeling, first in first out; on failure, walk the leftover
+    subgraph back to a cycle.  The order is its own queue: the nodes not yet
+    peeled are the ones after the node being peeled.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
     >>> t = enumerate_faces(3)
-    >>> check_acyclic(build_digraph(t, build_matching(t))).acyclic
-    True
-    >>> loop = MorseDigraph(0, False, [[1], [2], [0]], 3)
+    >>> check_acyclic(build_digraph(t, build_matching(t))).order
+    array('i', [2, 5, 3, 4, 0, 1])
+    >>> loop = MorseDigraph(0, False, array("i", [0, 1, 2, 3]), array("i", [1, 2, 0]))
     >>> check_acyclic(loop).cycle
     (0, 1, 2)
-    >>> check_acyclic(MorseDigraph(0, False, [[1], [2], [3, 0], []], 4)).cycle
+    >>> sink = MorseDigraph(0, False, array("i", [0, 1, 2, 4, 4]), array("i", [1, 2, 3, 0]))
+    >>> check_acyclic(sink).cycle
     (0, 1, 2)
     """
-    indeg = [0] * len(g.out)
-    for targets in g.out:
-        for v in targets:
-            indeg[v] += 1
-    queue = deque(v for v in range(len(g.out)) if indeg[v] == 0)
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in g.out[v]:
+    offsets, targets = g.offsets, g.targets
+    indeg = [0] * len(g)  # nearly all small ints, which Python shares
+    for w in targets:
+        indeg[w] += 1
+    order = array("i", compress(count(), map(not_, indeg)))
+    append = order.append
+    for v in order:  # grows while it is read
+        for w in targets[offsets[v]:offsets[v + 1]]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) == len(g.out):
-        return AcyclicityCertificate(True, tuple(order), None, _digest("order", tuple(order)))
+            if not indeg[w]:
+                append(w)
+    if len(order) == len(g):
+        return AcyclicityCertificate(True, order, None)
     # every remaining node keeps positive in-degree from the remainder, but
     # may be a sink: following in-arcs backward inside it must revisit a node
-    remaining = {v for v in range(len(g.out)) if indeg[v] > 0}
+    remaining = {v for v in range(len(g)) if indeg[v] > 0}
     pred: dict[int, int] = {}
     for v in sorted(remaining):
-        for w in g.out[v]:
+        for w in g.out(v):
             if w in remaining:
                 pred.setdefault(w, v)
     path: list[int] = []
@@ -112,22 +148,33 @@ def check_acyclic(g: MorseDigraph) -> AcyclicityCertificate:
         v = pred[v]
     back = path[position[v]:]  # walked against the arcs, starting at v
     cycle = (v,) + tuple(reversed(back[1:]))
-    return AcyclicityCertificate(False, None, cycle, _digest("cycle", cycle))
+    return AcyclicityCertificate(False, None, cycle)
 
 
 def verify_certificate(g: MorseDigraph, cert: AcyclicityCertificate) -> bool:
-    """Re-check a certificate against the digraph in one pass."""
+    """Re-check a certificate against the digraph in one pass.  An order is
+    walked once: each node must be new, and so must each head of its arcs."""
+    size = len(g)
     if cert.acyclic:
-        if cert.order is None or sorted(cert.order) != list(range(len(g.out))):
+        order = cert.order
+        if order is None or len(order) != size:
             return False
-        pos = [0] * len(g.out)
-        for i, v in enumerate(cert.order):
-            pos[v] = i
-        return all(pos[v] < pos[w] for v in range(len(g.out)) for w in g.out[v])
+        if size and not (min(order) >= 0 and max(order) < size):
+            return False
+        offsets, targets = g.offsets, g.targets
+        seen = bytearray(size)
+        for v in order:
+            if seen[v]:
+                return False
+            seen[v] = 1
+            for w in targets[offsets[v]:offsets[v + 1]]:
+                if seen[w]:
+                    return False
+        return True
     if not cert.cycle:
         return False
     k = len(cert.cycle)
-    return all(cert.cycle[(i + 1) % k] in g.out[cert.cycle[i]] for i in range(k))
+    return all(cert.cycle[(i + 1) % k] in g.out(cert.cycle[i]) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -154,7 +201,7 @@ def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
     (1, 3, 0)
     """
     counts = tuple(len(ids) for ids in critical_faces(table, matching).values())
-    if len(matching.pairs) + sum(counts) != len(table):
+    if matching.matched + sum(counts) != len(table):
         raise AssertionError("matched pairs and critical faces do not tile the table")
     return MorseNumbers(table.n, matching.dual, counts)
 

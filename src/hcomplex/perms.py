@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from operator import gt
 from typing import Sequence, TypeVar
 
@@ -38,12 +39,17 @@ Block = tuple[int, ...]
 Word = TypeVar("Word", bytes, tuple[int, ...])
 
 
+@lru_cache(maxsize=None)
+def _letters(n: int) -> frozenset[int]:
+    return frozenset(range(n + 2))
+
+
 def _check_sentinel_word(word: Sequence[int], n: int) -> None:
     """Raise ValueError unless n >= 1 and word permutes 0..n+1 with 0 first,
     n+1 last."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if len(word) != n + 2 or set(word) != set(range(n + 2)):
+    if len(word) != n + 2 or _letters(n) != set(word):
         raise ValueError(f"not a permutation of 0..{n + 1}: {word}")
     if not word or word[0] != 0 or word[-1] != n + 1:
         raise ValueError(f"sentinels must be 0 and {n + 1}: {word}")
@@ -183,6 +189,19 @@ def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
     """Cut a word into maximal increasing runs."""
     cuts = run_cuts(word)
     return tuple(tuple(word[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def core_blocks(word: Sequence[int]) -> tuple[Block, ...]:
+    """The blocks of a sentinel word with the sentinels 0 and n+1 left out.
+    No block is left empty: 0 < a_1 and a_n < n+1, so neither sentinel
+    stands alone in its block.
+
+    >>> core_blocks((0, 1, 3, 2, 6, 5, 4, 7))
+    ((1, 3), (2, 6), (5,), (4,))
+    """
+    top = len(word) - 1
+    cuts = run_cuts(word)
+    return tuple(tuple(word[max(lo, 1):min(hi, top)]) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def face_from_perm(core: Sequence[int]) -> BarredFace:

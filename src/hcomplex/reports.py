@@ -38,7 +38,7 @@ from .morse import (
     morse_numbers,
     verify_certificate,
 )
-from .perms import blocks_of_word, frozen_slots
+from .perms import core_blocks, frozen_slots
 from .witnesses import admissible_pairs, verify_witness
 
 RENDER_FORMATS = ("json", "csv", "md")
@@ -46,11 +46,11 @@ RENDER_FORMATS = ("json", "csv", "md")
 
 def face_table_payload(table: FaceTable) -> dict:
     """Export {n, faces:[{id, perm, blocks, dim}]} with sentinel-free blocks."""
-    faces = []
-    for i, (word, bars) in enumerate(zip(table.words, table.bars)):
-        blocks = [[v for v in b if 0 < v <= table.n] for b in blocks_of_word(word)]
-        faces.append({"id": i, "perm": list(word[1:-1]), "blocks": [b for b in blocks if b],
-                      "dim": bars - 1})
+    faces = [
+        {"id": i, "perm": list(word[1:-1]), "blocks": list(map(list, core_blocks(word))),
+         "dim": bars - 1}
+        for i, (word, bars) in enumerate(zip(table.words, table.bars))
+    ]
     return {"n": table.n, "faces": faces}
 
 
@@ -64,23 +64,27 @@ def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
 @frozen_slots
 class MatchingSide:
     """One matching, checked: well-definedness and threshold failures, Morse
-    numbers, and whether the digraph certificate is acyclic and re-checks."""
+    numbers, whether the digraph certificate is acyclic and re-checks, and
+    the certificate's digest when it was asked for (None otherwise)."""
 
     violations: tuple[str, ...]
     numbers: MorseNumbers
     acyclic: bool
-    digest: str
+    digest: str | None
 
 
-def check_matching_side(table: FaceTable, matching: MatchingMap) -> MatchingSide:
-    """Run every check of one matching; shared by report rows and ``morse``."""
+def check_matching_side(
+    table: FaceTable, matching: MatchingMap, digest: bool = False
+) -> MatchingSide:
+    """Run every check of one matching; shared by report rows and ``morse``,
+    which alone asks for the certificate digest."""
     report = verify_well_defined(table, matching)
     numbers = morse_numbers(table, matching)
     violations = report.violations + check_thresholds(numbers).violations
     g = build_digraph(table, matching)
     cert = check_acyclic(g)
     ok = cert.acyclic and verify_certificate(g, cert)
-    return MatchingSide(violations, numbers, ok, cert.digest)
+    return MatchingSide(violations, numbers, ok, cert.digest() if digest else None)
 
 
 def morse_payload(side: MatchingSide) -> dict:

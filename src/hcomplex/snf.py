@@ -25,6 +25,7 @@ over F_p counts the ones p does not divide.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 
 Rows = dict[int, dict[int, int]]
@@ -44,7 +45,7 @@ class _Eliminator:
 
     def __init__(self, rows: Rows):
         self.rows = rows
-        self.cols: dict[int, set[int]] = {}
+        self.cols: dict[int, list[int]] = {}  # the rows holding each column, sorted
         for i in list(rows):
             row = rows[i]
             if 0 in row.values():
@@ -54,7 +55,9 @@ class _Eliminator:
                 del rows[i]
                 continue
             for j in row:
-                self.cols.setdefault(j, set()).add(i)
+                self.cols.setdefault(j, []).append(i)
+        for col in self.cols.values():
+            col.sort()
         self.heap = [(len(row), i) for i, row in self.rows.items()]
         heapify(self.heap)
         self.pivots: list[int] = []  # the column of each unit pivot, in order
@@ -73,25 +76,27 @@ class _Eliminator:
         rows, cols = self.rows, self.cols
         prow = rows.pop(i)
         for jj in prow:
-            cols[jj].discard(i)
+            col = cols[jj]
+            del col[bisect_left(col, i)]
         v = prow[j]  # +-1, so 1/v = v
-        for r in list(cols[j]):
+        rest = [(jj, vv) for jj, vv in prow.items() if jj != j]
+        for r in cols.pop(j):
             row = rows[r]
-            m = row[j] * v
-            for jj, vv in prow.items():
+            m = row.pop(j) * v  # the pivot column clears to 0 in every row
+            for jj, vv in rest:
                 cur = row.get(jj, 0) - m * vv
                 if cur:
                     if jj not in row:
-                        cols[jj].add(r)
+                        insort(cols[jj], r)
                     row[jj] = cur
                 elif jj in row:
                     del row[jj]
-                    cols[jj].discard(r)
+                    col = cols[jj]
+                    del col[bisect_left(col, r)]
             if not row:
                 del rows[r]
                 continue
             heappush(self.heap, (len(row), r))
-        del cols[j]
         self.pivots.append(j)
 
     def run(self) -> Rows:

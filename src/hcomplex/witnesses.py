@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .complexes import FaceTable, is_free_face
 from .homology import SignedChain, boundary_of_chain
-from .perms import BarredFace, face_from_chain, face_from_perm, frozen_slots
+from .perms import BarredFace, core_blocks, face_from_chain, face_from_perm, frozen_slots
 
 
 def admissible_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -145,8 +145,7 @@ def has_local_parent(face: BarredFace) -> bool:
     """
     n = face.n
     masks = face.chain()
-    for i, block in enumerate(face.blocks):
-        core = [v for v in block if 0 < v <= n]
+    for i, core in enumerate(core_blocks(face.word)):
         prev = masks[i - 1] if i else 0
         for size in range(1, len(core)):
             for lower in combinations(core, size):
@@ -202,11 +201,6 @@ def verify_witness(n: int, k: int, table: FaceTable | None = None) -> WitnessRep
     return WitnessReport(n, k, len(z), checks, spec.free_face, z)
 
 
-def _core_blocks(face: BarredFace) -> str:
-    inner = [[v for v in b if 0 < v <= face.n] for b in face.blocks]
-    return "|".join(",".join(map(str, b)) for b in inner if b)
-
-
 def witness_payload(n: int, k: int) -> dict:
     """JSON-ready description of the witness, deterministically ordered.
 
@@ -227,6 +221,6 @@ def _render(face: BarredFace, z: SignedChain) -> dict:
     return {
         "n": z.n,
         "k": z.dim,
-        "freeFace": _core_blocks(face),
+        "freeFace": "|".join(",".join(map(str, b)) for b in core_blocks(face.word)),
         "terms": terms,
     }

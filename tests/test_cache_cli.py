@@ -31,6 +31,29 @@ def test_cli_morse_frozen_output(capsys):
     assert json.loads(capsys.readouterr().out)["m"]["1"] == 6
 
 
+# Outputs of the list-built digraph and the dict of pairs, before both went
+# flat: the certificate digests of ``morse --n 7`` and the sha256 of the
+# whole ``match --n 6`` output.
+MORSE_N7_DIGEST = {
+    False: "4e00e70af6b11bc7403f6b2b0aeddbb4e51fb8e8c136fa070d1c618e77754f50",
+    True: "a255fbd78c0fd3b3f298de4957a08ee3266771254dddf6f7e32990c2e540d5dc",
+}
+MATCH_N6_SHA256 = "d11fa8d74e07da9665a3531ad00d147f0ef34396ce04ac39906923942b7c4c49"
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_cli_morse_n7_digest_frozen(capsys, dual):
+    assert main(["morse", "--n", "7", *(["--dual"] if dual else [])]) == 0
+    assert json.loads(capsys.readouterr().out)["certificateDigest"] == MORSE_N7_DIGEST[dual]
+
+
+def test_cli_match_n6_frozen(capsys):
+    import hashlib
+
+    assert main(["match", "--n", "6"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCH_N6_SHA256
+
+
 def test_cli_witness_frozen_output(capsys):
     assert main(["witness", "--n", "7", "--k", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -64,7 +87,7 @@ def test_cli_morse_rechecks_the_certificate(capsys, monkeypatch):
     def reversed_order(g):
         cert = check_acyclic(g)
         order = tuple(reversed(cert.order))
-        return AcyclicityCertificate(True, order, None, cert.digest)
+        return AcyclicityCertificate(True, order, None)
 
     monkeypatch.setattr("hcomplex.reports.check_acyclic", reversed_order)
     assert main(["morse", "--n", "4"]) == 1

@@ -1,6 +1,7 @@
 """The discrete matching: involution structure, type pairing, dual mirror."""
 
 import enum
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from math import factorial
@@ -480,9 +481,9 @@ def test_build_matching_diagnoses_each_face_once(monkeypatch):
 def test_verifier_diagnoses_the_side_it_is_told(table, matching):
     for n in range(4, 7):
         t = table(n)
-        mislabelled = MatchingMap(n, True, matching(n).pairs)
+        mislabelled = MatchingMap(n, True, matching(n).partners)
         assert verify_well_defined(t, mislabelled).violations
-        mislabelled = MatchingMap(n, False, matching(n, True).pairs)
+        mislabelled = MatchingMap(n, False, matching(n, True).partners)
         assert verify_well_defined(t, mislabelled).violations
 
 
@@ -498,11 +499,30 @@ def test_primal_verifier_diagnoses_the_faces_it_is_given():
 
 def test_cleared_pairs_leave_later_matchings_unchanged():
     t = enumerate_faces(5)
-    primal, dual = build_matching(t).pairs, build_matching(t, dual=True).pairs
-    expected = (dict(primal), dict(dual))
-    primal.clear()
-    dual.clear()
-    assert (build_matching(t).pairs, build_matching(t, dual=True).pairs) == expected
+    primal, dual = build_matching(t), build_matching(t, dual=True)
+    expected = (dict(primal.pairs), dict(dual.pairs))
+    for m in (primal, dual):
+        with pytest.raises(TypeError):
+            m.pairs[0] = 1  # the pairs are a read-only view
+        m.partners[:] = array("i", [-1]) * len(t)
+    again = build_matching(t), build_matching(t, dual=True)
+    assert (dict(again[0].pairs), dict(again[1].pairs)) == expected
+
+
+def test_pairs_view_reads_the_partner_array(table, matching):
+    for n in range(1, 7):
+        t = table(n)
+        for dual in (False, True):
+            m = matching(n, dual)
+            pairs = {f: g for f, g in enumerate(m.partners) if g >= 0}
+            assert dict(m.pairs) == pairs and m.pairs == pairs
+            assert len(m.pairs) == m.matched == len(pairs)
+            assert [f in m.pairs for f in range(-1, len(t) + 1)] == [
+                f in pairs for f in range(-1, len(t) + 1)
+            ]
+            for f in (-1, len(t)):
+                with pytest.raises(KeyError):
+                    m.pairs[f]
 
 
 def _swap_position(v, w):

@@ -1,19 +1,19 @@
 """The face table is flat, and the Smith forms eliminate in place.
 
 The index is keyed by the bytes words the table lists, the cover incidence
-is two ``array('i')``, and the per-dimension id lists and the Morse digraph
-arcs reuse the index's int objects.  Tracemalloc bounds guard the footprint
-of the table and the peak of the eliminations.
+is two ``array('i')``, and the per-dimension id lists reuse the index's int
+objects.  Tracemalloc bounds guard the footprint of the table and the peak
+of the eliminations, and a report row loads no hashing library.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from array import array
 
 from hcomplex.complexes import enumerate_faces
 from hcomplex.homology import invariant_factors
-from hcomplex.matching import build_matching
-from hcomplex.morse import build_digraph
 
 # enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 136 B per
 # face under tracemalloc (Python 3.11, 64-bit Linux); the bound allows 15%.
@@ -22,10 +22,10 @@ from hcomplex.morse import build_digraph
 BYTES_PER_FACE_N7 = 156
 
 # invariant_factors(t, 0) on enumerate_faces(7), incidence and id lists
-# already built, peaked at 1.01 MB under tracemalloc (Python 3.11, 64-bit
-# Linux); the bound allows 15%.  Eliminating a private copy of each boundary
-# peaked at 1.33 MB.
-INVARIANTS_PEAK_N7 = 1_160_000
+# already built, peaked at 0.70 MB under tracemalloc (Python 3.11, 64-bit
+# Linux); the bound allows 15%.  A set of rows per column peaked at 1.01 MB,
+# and eliminating a private copy of each boundary at 1.33 MB.
+INVARIANTS_PEAK_N7 = 804_000
 
 
 def test_index_keys_are_the_face_words():
@@ -46,12 +46,20 @@ def test_incidence_is_flat_and_dims_share_the_index_ints():
         assert all(fid is ids[fid] for fid in dim_ids)
 
 
-def test_digraph_arcs_share_the_index_ints():
-    t = enumerate_faces(6)
-    ids = list(t.id_of_word.values())
-    for dual in (False, True):
-        g = build_digraph(t, build_matching(t, dual=dual))
-        assert all(v is ids[v] for targets in g.out for v in targets)
+def test_a_report_row_loads_no_hashing_library(subprocess_env):
+    # OpenSSL's libcrypto, which _hashlib maps, is megabytes of RSS; only a
+    # printed certificate digest needs it
+    code = (
+        "import sys, hcomplex.cli\n"
+        "from hcomplex.reports import conjecture_row\n"
+        "assert conjecture_row(6).verdict == 'PASS'\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n", out.stderr
 
 
 def test_table_bytes_per_face_n7():

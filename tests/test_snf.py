@@ -100,6 +100,63 @@ def test_pivot_columns_span_a_unimodular_block(dense):
     assert tuple(abs(d) for d in sympy_invariants(block)) == (1,) * len(pivots)
 
 
+def set_indexed_pivots(rows):
+    """The unit pivot columns, in order, of the same greedy elimination with
+    a set of rows per column: shortest row first (ties to the lower row id),
+    then its unit entry whose column has the fewest rows (ties to the lower
+    column id); rows without a unit entry wait until the next pivot."""
+    rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+    rows = {i: row for i, row in rows.items() if row}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots, waiting = [], set()
+    while len(waiting) < len(rows):
+        i = min(set(rows) - waiting, key=lambda r: (len(rows[r]), r))
+        units = [j for j, v in rows[i].items() if v in (1, -1)]
+        if not units:
+            waiting.add(i)
+            continue
+        j = min(units, key=lambda c: (len(cols[c]), c))
+        prow = rows.pop(i)
+        for c in prow:
+            cols[c].discard(i)
+        for r in list(cols.pop(j)):
+            m = rows[r].pop(j) * prow[j]
+            for c, v in prow.items():
+                if c != j:
+                    cur = rows[r].get(c, 0) - m * v
+                    if cur:
+                        rows[r][c] = cur
+                        cols[c].add(r)
+                    elif c in rows[r]:
+                        del rows[r][c]
+                        cols[c].discard(r)
+            if not rows[r]:
+                del rows[r]
+        pivots.append(j)
+        waiting.clear()
+    return pivots
+
+
+def test_pivot_sequence_equals_a_set_indexed_reference(table):
+    from hcomplex.homology import boundary_matrix
+
+    matrices = [boundary_matrix(table(n), d).cols for n in range(2, 7) for d in range(n - 1)]
+    rng = random.Random(7)
+    entries = (-2, -1, 1, 1, 3)
+    matrices += [
+        {i: {j: rng.choice(entries) for j in rng.sample(range(30), 4)} for i in range(25)}
+        for _ in range(20)
+    ]
+    for rows in matrices:
+        expected = set_indexed_pivots(rows)
+        pivots = []
+        smith_normal_form(copy.deepcopy(rows), pivots)
+        assert pivots == expected
+
+
 def test_transpose_invariance():
     rng = random.Random(7)
     for _ in range(30):
