@@ -55,7 +55,10 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    """The larger peak RSS of this process and of its largest reaped worker."""
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return kib / 1024  # Linux reports KiB
 
 
 def _require(condition: bool, message: str) -> None:

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import gt
 
+from . import workers
 from .perms import BarredFace, erase_bar, face_from_perm, run_cuts
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
@@ -109,18 +110,30 @@ class FaceTable:
         """(offsets, lowers): face i covers ``lowers[offsets[i]:offsets[i + 1]]``.
 
         Erasing bar k carries the boundary sign (-1)^k.  Built on first use
-        with one ``covers_down`` call per face.
+        with one ``covers_down`` call per face; on a table large enough for
+        a worker (``workers.split``), the upper half of the ids is scanned
+        there.
 
         >>> enumerate_faces(3).cover_incidence()
         (array('i', [0, 0, 1, 2, 3, 4, 6]), array('i', [0, 0, 0, 0, 3, 4]))
         """
         if self._incidence is None:
-            offsets, lowers = array("i", [0]), array("i")
-            for word in self.words:
-                lowers.extend(covers_down(self, word))
-                offsets.append(len(lowers))
+            parts = workers.split("cover_incidence", len(self), self._cover_span)
+            offsets, lowers = parts[0]
+            for more_offsets, more_lowers in parts[1:]:
+                shift = len(lowers)
+                offsets.extend(shift + end for end in itertools.islice(more_offsets, 1, None))
+                lowers.extend(more_lowers)
             self._incidence = offsets, lowers
         return self._incidence
+
+    def _cover_span(self, lo: int, hi: int) -> tuple[array, array]:
+        """The cover incidence of faces lo..hi-1, offsets counted from 0."""
+        offsets, lowers = array("i", [0]), array("i")
+        for word in itertools.islice(self.words, lo, hi):
+            lowers.extend(covers_down(self, word))
+            offsets.append(len(lowers))
+        return offsets, lowers
 
     def lowers(self, fid: int) -> array:
         """The ids of the faces face fid covers, in bar order."""

@@ -22,8 +22,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, count
 
+from . import workers
 from .complexes import FaceTable
 from .perms import BarredFace, MatchableType, complement_word, diagnose_word
 
@@ -143,8 +145,10 @@ class MatchingMap:
 def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     """Match every non-critical face through its lowest matchable block.
 
-    The first call per table keeps one ``partner`` id per face (-1: critical);
-    the dual relabels those pairs f -> N-1-f.  Each call returns a new array.
+    The first call per table keeps one ``partner`` id per face (-1: critical),
+    the upper half of the ids found in a worker on a table large enough for
+    one (``workers.split``); the dual relabels those pairs f -> N-1-f.  Each
+    call returns a new array.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -152,8 +156,10 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        id_of_face, found = table.id_of_face, map(partner, table.faces)
-        table._partners = array("i", (-1 if g is None else id_of_face(g) for g in found))
+        parts = workers.split("partner ids", len(table), partial(_partner_span, table))
+        table._partners = parts[0]
+        for more in parts[1:]:
+            table._partners.extend(more)
     primal = table._partners
     if dual:
         last = len(primal) - 1
@@ -161,6 +167,13 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     else:
         partners = array("i", primal)
     return MatchingMap(table.n, dual, partners)
+
+
+def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
+    """The partner ids of faces lo..hi-1, -1 for a critical face."""
+    id_of_face, face = table.id_of_face, table.faces.__getitem__
+    found = map(partner, map(face, range(lo, hi)))
+    return array("i", (-1 if g is None else id_of_face(g) for g in found))
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
@@ -226,7 +239,9 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
         if fid > gid:
             continue  # handle each pair once
         lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
-        if lower not in lowers[offsets[upper]:offsets[upper + 1]]:
+        try:
+            lowers.index(lower, offsets[upper], offsets[upper + 1])
+        except ValueError:
             violations.append(f"{fid}<->{gid}: not a cover pair")
         if not _is_adjacent_swap(words[fid], words[gid]):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")

@@ -59,9 +59,14 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     partners = matching.partners
     up = array("i", [-1]) * len(partners)  # the head of each node's up arc
     into = bytearray(len(partners))  # the number of up arcs into each node
+    index, bars = lowers.index, table.bars
     for v in compress(count(), map((-1).__lt__, partners)):
         p = partners[v]
-        if v in lowers[offsets[p]:offsets[p + 1]]:
+        if bars[p] > bars[v]:  # a face covers only faces with fewer bars
+            try:
+                index(v, offsets[p], offsets[p + 1])
+            except ValueError:
+                continue
             up[v] = p
             into[p] += 1
     out_offsets, targets = array("i", [0]), array("i")

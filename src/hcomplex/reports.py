@@ -12,6 +12,17 @@ PASS only if all of it holds and the observed non-vanishing dimensions equal
 the predicted middle third.  Every row is computed afresh; nothing is read
 from or written to disk.
 
+From n = 7 on (``workers.MIN_FACES`` faces), on a machine that lets this
+process run on two CPUs and has ``os.fork``, a row uses two processes and
+at most one worker at a time.  The upper half of the cover incidence and of
+the primal partner ids are computed in a worker while this process computes
+the lower half.  Then, with both matchings built, a worker checks the dual
+side while this process checks the primal side, computes the homology and
+verifies the witnesses; the worker returns only the small ``MatchingSide``.
+Every other row, and every row on a machine without a second CPU, runs in
+process.  The results are the same either way, and a worker that fails
+raises in this process, so it can never turn into a PASS.
+
 All payload builders emit deterministically ordered structures, so identical
 inputs give byte-identical serializations.
 """
@@ -19,7 +30,9 @@ inputs give byte-identical serializations.
 from __future__ import annotations
 
 import json
+from functools import partial
 
+from . import workers
 from .complexes import FaceTable, enumerate_faces
 from .homology import (
     BettiTable,
@@ -164,20 +177,31 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
         table = enumerate_faces(n, max_n=n)
     elif table.n != n:
         raise ValueError(f"conjecture_row(n={n}) was given a face table for n={table.n}")
-    primal = check_matching_side(table, build_matching(table))
-    dual = check_matching_side(table, build_matching(table, dual=True))
-    if n <= 7:
-        bt = betti_table(table, "Z")
-        observed = bt.nonzero_dims()
-    else:
-        bt = betti_table(table, "Q")
-        observed = nonzero_dims_via_ranks(table)
+    table.cover_incidence()  # before the worker forks: both sides read it
+    primal_matching = build_matching(table)
+
+    def here():
+        nonlocal primal_matching
+        primal = check_matching_side(table, primal_matching)
+        primal_matching = None  # not held through the Smith forms
+        if n <= 7:
+            bt = betti_table(table, "Z")
+            observed = bt.nonzero_dims()
+        else:
+            bt = betti_table(table, "Q")
+            observed = nonzero_dims_via_ranks(table)
+        witness_ok = all(
+            verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
+        )
+        return primal, bt, observed, witness_ok
+
+    (primal, bt, observed, witness_ok), dual = workers.both(
+        "dual matching side", len(table), here,
+        partial(check_matching_side, table, build_matching(table, dual=True)),
+    )
     primal_ok, dual_ok = (
         not side.violations and morse_inequalities(side.numbers, bt.betti).ok
         for side in (primal, dual)
-    )
-    witness_ok = all(
-        verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
     )
     return ConjectureRow(
         n,

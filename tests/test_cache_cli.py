@@ -336,9 +336,15 @@ def test_cli_verbose_notes_peak_rss_on_stderr_only(capsys):
     assert 1 < float(note.group(1)) < 100_000
 
 
-def test_cli_verbose_report_rows_note_peak_rss_on_stderr_only(capsys):
+def test_cli_verbose_report_rows_note_peak_rss_on_stderr_only(capsys, monkeypatch):
     import re
+    import resource
 
+    from hcomplex import workers
+
+    # every row forks its worker, whose peak the notes must include
+    monkeypatch.setattr(workers, "MIN_FACES", 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     for fmt in ("json", "md"):
         assert main(["report", "--n-max", "4", "--format", fmt]) == 0
         quiet = capsys.readouterr()
@@ -354,3 +360,18 @@ def test_cli_verbose_report_rows_note_peak_rss_on_stderr_only(capsys):
             assert m, note
             peaks.append(float(m.group(1)))
         assert 1 < peaks[0] and peaks == sorted(peaks)  # a running peak never falls
+        worker_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        assert peaks[-1] >= round(worker_kib / 1024, 1)
+
+
+def test_cli_peak_rss_is_the_larger_of_this_process_and_its_workers(monkeypatch):
+    import resource
+    from types import SimpleNamespace
+
+    from hcomplex import cli
+
+    kib = {resource.RUSAGE_SELF: 2048, resource.RUSAGE_CHILDREN: 3072}
+    monkeypatch.setattr(cli.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=kib[who]))
+    assert cli._peak_rss_mb() == 3.0
+    kib[resource.RUSAGE_CHILDREN] = 1024
+    assert cli._peak_rss_mb() == 2.0
