@@ -23,7 +23,7 @@ from hcomplex import (
 
 # one permutation, one face: bars sit exactly at the descents
 f = face_from_perm((2, 1, 4, 6, 5, 3))
-print(f"word {f.word} -> face {f} (dim {f.dim})")
+print(f"word {list(f.word)} -> face {f} (dim {f.dim})")
 print(f"chain of prefix-set bitmasks: {f.chain()}")
 
 # the whole complex for n = 4: 24 faces, one per permutation

@@ -65,7 +65,6 @@ from .perms import (
 from .reports import (
     ConjectureReport,
     ConjectureRow,
-    build_conjecture_report,
     conjecture_row,
     render_report,
 )

@@ -3,7 +3,7 @@
 Subcommands: build, match, morse, homology, witness, conjecture, report.
 Exit codes: 0 when everything checks out, 1 when a verification is falsified,
 2 on usage, resource or I/O errors (the size ceilings, an ``--out`` that
-cannot be written).
+cannot be written, a worker that dies without its result).
 
 Hard ceilings keep accidental big runs out: enumeration and matching stop at
 n = 9, homology and the aggregate reports at n = 8, and cycle witnesses
@@ -245,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"falsified: internal invariant broke: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,12 +14,13 @@ the descent chain.
 The table is flat.  ``id_of_word`` maps each face's sentinel word, as
 ``bytes`` (0, a_1..a_n, n+1), to its id, ids in lex order, and ``words``
 holds the same key objects in id order; ``bars`` holds each face's bar count
-(dim + 1) in one ``bytes``.  The cover relation (erase one bar), computed by
-one ``covers_down`` call per face, is kept as two ``array('i')``: N + 1
-offsets, and the ids of the faces each face covers, in bar order.
-``lowers(fid)`` is one face's slice.  No ``BarredFace`` is stored: ``faces``
-builds each one from its word when it is read.  The Morse digraphs, the
-free-face test and the boundaries read the incidence.
+(dim + 1) in one ``bytes``.  The cover relation (erase one bar) is kept as
+two ``array('i')``: N + 1 offsets, the running sums of ``bars`` as face i
+covers ``bars[i]`` faces, and the ids of the faces each face covers, one
+``covers_down`` call per face, in bar order.  ``lowers(fid)`` is one face's
+slice.  No ``BarredFace`` is stored: ``faces`` builds each one around its
+stored word when it is read, so ``faces[i].word is words[i]``.  The Morse
+digraphs, the free-face test and the boundaries read the incidence.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 from operator import gt
 
 from . import workers
-from .perms import BarredFace, erase_bar, face_from_perm, run_cuts
+from .perms import BarredFace, check_n, erase_bar, face_from_perm, run_cuts
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
 
@@ -44,8 +45,7 @@ class BudgetExceededError(Exception):
 
 
 def _check_budget(n: int, max_n: int | None, what: str) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_n(n)
     if max_n is not None and n > max_n:
         raise BudgetExceededError(
             f"{what} for n={n} exceeds the ceiling max_n={max_n}; "
@@ -55,8 +55,8 @@ def _check_budget(n: int, max_n: int | None, what: str) -> None:
 
 class FaceView(Sequence):
     """The faces of a table, read-only: each index or iteration builds the
-    face of a stored word with ``BarredFace.from_word``, so a corrupted word
-    raises ValueError when its face is read."""
+    face of a stored word with ``BarredFace.from_word``, which keeps that
+    word, so a corrupted word raises ValueError when its face is read."""
 
     def __init__(self, table: FaceTable) -> None:
         self._n, self._words = table.n, table.words
@@ -67,7 +67,7 @@ class FaceView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return BarredFace.from_word(self._n, tuple(self._words[i]))
+        return BarredFace.from_word(self._n, self._words[i])
 
 
 @dataclass
@@ -101,7 +101,7 @@ class FaceTable:
 
     def id_of_face(self, f: BarredFace) -> int:
         """The id of f; raises ValueError unless f is a face of this table."""
-        fid = self.id_of_word.get(bytes(f.word)) if f.n == self.n else None
+        fid = self.id_of_word.get(f.word) if f.n == self.n else None
         if fid is None:
             raise ValueError(f"{f!r} is not a face of the table for n={self.n}")
         return fid
@@ -109,31 +109,27 @@ class FaceTable:
     def cover_incidence(self) -> tuple[array, array]:
         """(offsets, lowers): face i covers ``lowers[offsets[i]:offsets[i + 1]]``.
 
-        Erasing bar k carries the boundary sign (-1)^k.  Built on first use
-        with one ``covers_down`` call per face; on a table large enough for
-        a worker (``workers.split``), the upper half of the ids is scanned
-        there.
+        Erasing bar k carries the boundary sign (-1)^k.  Built on first use:
+        the offsets are the running sums of ``bars``, the lowers one
+        ``covers_down`` call per face; on a table large enough for a worker
+        (``workers.split``), the upper half of the ids is scanned there.
 
         >>> enumerate_faces(3).cover_incidence()
         (array('i', [0, 0, 1, 2, 3, 4, 6]), array('i', [0, 0, 0, 0, 3, 4]))
         """
         if self._incidence is None:
-            parts = workers.split("cover_incidence", len(self), self._cover_span)
-            offsets, lowers = parts[0]
-            for more_offsets, more_lowers in parts[1:]:
-                shift = len(lowers)
-                offsets.extend(shift + end for end in itertools.islice(more_offsets, 1, None))
-                lowers.extend(more_lowers)
-            self._incidence = offsets, lowers
+            lowers = workers.split("cover_incidence", len(self), self._cover_span)
+            self._incidence = array("i", itertools.accumulate(self.bars, initial=0)), lowers
         return self._incidence
 
-    def _cover_span(self, lo: int, hi: int) -> tuple[array, array]:
-        """The cover incidence of faces lo..hi-1, offsets counted from 0."""
-        offsets, lowers = array("i", [0]), array("i")
+    def _cover_span(self, lo: int, hi: int) -> array:
+        """The ids the faces lo..hi-1 cover, face by face; ``covers_down``
+        raises AssertionError naming a face whose cover count is not its bar
+        count, which would shift every offset after it."""
+        lowers = array("i")
         for word in itertools.islice(self.words, lo, hi):
             lowers.extend(covers_down(self, word))
-            offsets.append(len(lowers))
-        return offsets, lowers
+        return lowers
 
     def lowers(self, fid: int) -> array:
         """The ids of the faces face fid covers, in bar order."""
@@ -169,24 +165,31 @@ def covers_down(table: FaceTable, word: bytes) -> tuple[int, ...]:
     entry i erases bar i.
 
     Erasing a bar is ``perms.erase_bar``; the word it gives is looked up in
-    ``id_of_word``.  Raises AssertionError unless the face found there has
-    one bar fewer in ``bars`` (one block fewer).
+    ``id_of_word``.  Raises AssertionError, naming the face, unless each face
+    found there has one bar fewer in ``bars`` (one block fewer) than this
+    face has there, and this face covers as many faces as its bar count.
 
     >>> t = enumerate_faces(3)
     >>> covers_down(t, t.words[5])
     (3, 4)
     """
     ids, bars = table.id_of_word, table.bars
+    fid = ids[word]
+    below = bars[fid] - 1
     cuts = run_cuts(word)
     lowers = []
     for bar in range(len(cuts) - 2):
         lower = ids[erase_bar(word, cuts, bar)]
-        if bars[lower] != len(cuts) - 3:
+        if bars[lower] != below:
             raise AssertionError(
-                f"erasing bar {bar} of {tuple(word)} gives face {lower} with "
-                f"{bars[lower]} bars, not a face with one block fewer"
+                f"erasing bar {bar} of face {fid} ({below + 1} bars) gives face {lower} "
+                f"with {bars[lower]} bars, not a face with one block fewer"
             )
         lowers.append(lower)
+    if len(lowers) != below + 1:
+        raise AssertionError(
+            f"face {fid} covers {len(lowers)} faces, but bars[{fid}] is {bars[fid]}"
+        )
     return tuple(lowers)
 
 
@@ -329,8 +332,7 @@ def lex_shelling_check(n: int, max_n: int | None = 8) -> ShellingReport:
             for c in new
             if all(c[:i] + c[i + 1:] in seen for i in range(len(c)))
         ]
-        face = BarredFace.from_word(n, (0,) + core + (n + 1,))
-        expected = face.chain()
+        expected = face_from_perm(core).chain()
         if len(minimal_new) != 1:
             failures.append(f"{core}: {len(minimal_new)} minimal new faces")
         elif minimal_new[0] != expected:

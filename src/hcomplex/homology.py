@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import field
 from typing import Collection, Mapping
 
-from .complexes import FaceTable, enumerate_faces
+from .complexes import FaceTable, enumerate_faces, f_vector
 from .perms import BarredFace, erase_bar, frozen_slots, run_cuts
 from .snf import Rows, rank_mod_p, rank_q, smith_normal_form
 
@@ -124,8 +124,7 @@ def betti_table(table: FaceTable, coefficients: str = "Z") -> BettiTable:
     if coefficients not in COEFFICIENTS:
         raise ValueError(f"coefficients must be one of {COEFFICIENTS}")
     n = table.n
-    by_dim = table.ids_by_dim()
-    f = {d: len(by_dim.get(d, [])) for d in range(-1, n - 1)}
+    f = f_vector(table)  # f[d + 1] faces of dimension d
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     p = _FIELD_CHAR.get(coefficients)
@@ -141,7 +140,7 @@ def betti_table(table: FaceTable, coefficients: str = "Z") -> BettiTable:
         else:
             ranks[d] = rank_mod_p(invariants, p)
     betti = {
-        d: f[d] - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(-1, n - 1)
+        d: f[d + 1] - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(-1, n - 1)
     }
     if any(b < 0 for b in betti.values()):
         raise AssertionError(f"negative Betti number for n={n}: {betti}")
@@ -176,7 +175,7 @@ def nonzero_dims_via_ranks(
     [1]
     """
     n = table.n
-    f = {d: len(table.ids_by_dim().get(d, [])) for d in range(-1, n - 1)}
+    f = f_vector(table)  # f[d + 1] faces of dimension d
     rq: dict[int, int] = {}
     rp: dict[int, dict[int, int]] = {p: {} for p in primes}
     for d in range(0, n - 1):
@@ -186,7 +185,7 @@ def nonzero_dims_via_ranks(
             rp[p][d] = rank_mod_p(invariants, p)
     out = set()
     for d in range(-1, n - 1):
-        free = f[d] - rq.get(d, 0) - rq.get(d + 1, 0)
+        free = f[d + 1] - rq.get(d, 0) - rq.get(d + 1, 0)
         drop = any(rp[p].get(d + 1, 0) < rq.get(d + 1, 0) for p in primes)
         if free or drop:
             out.add(d)
@@ -231,15 +230,16 @@ def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
     Erasing bar i of a face is ``perms.erase_bar``, as in ``covers_down``
-    on the table, with sign (-1)^i.  Terms are summed by their words, and
-    only those with a non-zero coefficient become faces.
+    on the table, with sign (-1)^i.  Terms are summed by their ``bytes``
+    words, and only those with a non-zero coefficient become faces, each
+    around its summed word.
 
     >>> from .perms import face_from_perm
     >>> f = face_from_perm((2, 1, 3))
     >>> sorted(repr(g) for g in boundary_of_chain(SignedChain(3, 0, {f: 1})).coeffs)
     ['BarredFace(3, 01234)']
     """
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[bytes, int] = {}
     for face, c in chain.coeffs.items():
         word = face.word
         cuts = run_cuts(word)

@@ -37,7 +37,7 @@ _PAIRED_KIND = {
 }
 
 
-def _is_adjacent_swap(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+def _is_adjacent_swap(v: bytes, w: bytes) -> bool:
     diff = [i for i, (x, y) in enumerate(zip(v, w)) if x != y]
     return (
         len(diff) == 2
@@ -51,7 +51,7 @@ def _swap(f: BarredFace, p: int) -> BarredFace:
     """The face of f's word with the letters at positions p, p+1 swapped.
     The bar at rank p+1 toggles; raises AssertionError unless the sentinels
     stay put and the bars at ranks p and p+2 keep their state."""
-    w = list(f.word)
+    w = bytearray(f.word)
     if not (
         1 <= p < f.n
         and (w[p - 1] > w[p]) == (w[p - 1] > w[p + 1])
@@ -59,7 +59,7 @@ def _swap(f: BarredFace, p: int) -> BarredFace:
     ):
         raise AssertionError(f"swapping word positions {p}, {p + 1} of {f} is not a cover move")
     w[p], w[p + 1] = w[p + 1], w[p]
-    return BarredFace.from_word(f.n, tuple(w))
+    return BarredFace.from_word(f.n, bytes(w))
 
 
 def partner(f: BarredFace) -> BarredFace | None:
@@ -156,10 +156,7 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        parts = workers.split("partner ids", len(table), partial(_partner_span, table))
-        table._partners = parts[0]
-        for more in parts[1:]:
-            table._partners.extend(more)
+        table._partners = workers.split("partner ids", len(table), partial(_partner_span, table))
     primal = table._partners
     if dual:
         last = len(primal) - 1
@@ -196,9 +193,9 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
         fours = zip(w, w[1:], w[2:], w[3:])
         if matching.dual:
             if any(a > b > c > d for a, b, c, d in fours):
-                raise AssertionError(f"dual critical face {fid} {tuple(w)} has a decreasing run > 3")
+                raise AssertionError(f"dual critical face {fid} {list(w)} has a decreasing run > 3")
         elif any(a < b < c < d for a, b, c, d in fours):
-            raise AssertionError(f"critical face {fid} {tuple(w)} has a block > 3")
+            raise AssertionError(f"critical face {fid} {list(w)} has a block > 3")
     return out
 
 

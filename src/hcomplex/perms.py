@@ -11,15 +11,16 @@ word (one block) is the empty face.  There is no separate permutation type:
 ``face_from_perm`` takes the one-line notation a_1 .. a_n, ``bar_ranks``
 gives the descents and ``complement_word`` the complement.
 
-Two helpers hold the rules on words, ``bytes`` or tuples: ``run_cuts``
-finds the runs, and ``erase_bar`` sorts the two runs a bar separates into
-one, which gives a face the face it covers.  ``diagnose_word`` finds the
-lowest matchable block in one pass over the run cuts and names the adjacent
-swap that gives the matched face.
+A word is ``bytes``, one letter per byte, the same object the face table
+keys its ids by; so n is at most ``MAX_N``.  Two helpers hold the rules on
+words: ``run_cuts`` finds the runs, and ``erase_bar`` sorts the two runs a
+bar separates into one, which gives a face the face it covers.
+``diagnose_word`` finds the lowest matchable block in one pass over the run
+cuts and names the adjacent swap that gives the matched face.
 
 >>> f = face_from_perm((1, 3, 2, 6, 5, 4))
->>> f.word
-(0, 1, 3, 2, 6, 5, 4, 7)
+>>> list(f.word)
+[0, 1, 3, 2, 6, 5, 4, 7]
 >>> f.bar_ranks()
 (3, 5, 6)
 >>> f.blocks
@@ -33,10 +34,10 @@ import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import gt
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 Block = tuple[int, ...]
-Word = TypeVar("Word", bytes, tuple[int, ...])
+MAX_N = 254  # the letters 0..n+1 of a word fit in one byte each
 
 
 @lru_cache(maxsize=None)
@@ -44,20 +45,20 @@ def _letters(n: int) -> frozenset[int]:
     return frozenset(range(n + 2))
 
 
-def _check_sentinel_word(word: Sequence[int], n: int) -> None:
-    """Raise ValueError unless n >= 1 and word permutes 0..n+1 with 0 first,
-    n+1 last."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+def check_n(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be between 1 and {MAX_N} (one byte per letter), got {n}")
+
+
+def _check_sentinel_word(word: bytes, n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_N and word permutes 0..n+1 with
+    0 first, n+1 last."""
+    check_n(n)
     if len(word) != n + 2 or _letters(n) != set(word):
-        raise ValueError(f"not a permutation of 0..{n + 1}: {word}")
+        raise ValueError(f"not a permutation of 0..{n + 1}: {list(word)}")
     if not word or word[0] != 0 or word[-1] != n + 1:
-        raise ValueError(f"sentinels must be 0 and {n + 1}: {word}")
-
-
-def _check_tuple(word: object) -> None:
-    if type(word) is not tuple:
-        raise ValueError(f"word must be a tuple, not {type(word).__name__}: {word!r}")
+        raise ValueError(f"sentinels must be 0 and {n + 1}: {list(word)}")
 
 
 def frozen_slots(cls: type) -> type:
@@ -81,36 +82,39 @@ class BarredFace:
     blocks whose concatenation is a sentinel word of length n + 2 and for
     which ``blocks_of_word(word) == blocks``; anything else, including list
     blocks, raises ValueError.  ``BarredFace.from_word`` takes the word
-    itself.  Faces are equal when their n and words are.  The face of 1324
-    (word 0 1 3 2 4 5):
+    itself, as ``bytes``.  Faces are equal when their n and words are.  The
+    face of 1324 (word 0 1 3 2 4 5):
 
     >>> f = BarredFace(4, ((0, 1, 3), (2, 4, 5)))
     >>> f.dim, f.word
-    (0, (0, 1, 3, 2, 4, 5))
-    >>> f == BarredFace.from_word(4, (0, 1, 3, 2, 4, 5))
+    (0, b'\\x00\\x01\\x03\\x02\\x04\\x05')
+    >>> f == BarredFace.from_word(4, bytes((0, 1, 3, 2, 4, 5)))
     True
     """
 
     n: int
-    word: tuple[int, ...]
+    word: bytes
     dim: int  # number of bars minus one, read off the word
 
     def __init__(self, n: int, blocks: tuple[Block, ...]) -> None:
-        word = tuple(itertools.chain.from_iterable(blocks))
+        check_n(n)
+        word = bytes(itertools.chain.from_iterable(blocks))
         _check_sentinel_word(word, n)
         if blocks_of_word(word) != blocks:
-            raise ValueError(f"blocks {blocks!r} != blocks_of_word({word})")
+            raise ValueError(f"blocks {blocks!r} != blocks_of_word({list(word)})")
         _init_face(self, n, word, len(blocks) - 2)
 
     @classmethod
-    def from_word(cls, n: int, word: tuple[int, ...]) -> "BarredFace":
-        """The face of a sentinel word; raises ValueError unless word is a
-        tuple permuting 0..n+1 with 0 first and n+1 last.
+    def from_word(cls, n: int, word: bytes) -> "BarredFace":
+        """The face of a sentinel word, which it keeps as given; raises
+        ValueError unless word is ``bytes`` permuting 0..n+1 with 0 first and
+        n+1 last.
 
-        >>> BarredFace.from_word(1, (0, 1, 2)).dim
+        >>> BarredFace.from_word(1, b"\\0\\1\\2").dim
         -1
         """
-        _check_tuple(word)
+        if type(word) is not bytes:
+            raise ValueError(f"word must be bytes, not {type(word).__name__}: {word!r}")
         _check_sentinel_word(word, n)
         face = object.__new__(cls)
         _init_face(face, n, word, sum(map(gt, word, word[1:])) - 1)
@@ -150,7 +154,7 @@ class BarredFace:
         return f"BarredFace({self.n}, {self.blocks})"
 
 
-def _init_face(face: BarredFace, n: int, word: tuple[int, ...], dim: int) -> None:
+def _init_face(face: BarredFace, n: int, word: bytes, dim: int) -> None:
     object.__setattr__(face, "n", n)
     object.__setattr__(face, "word", word)
     object.__setattr__(face, "dim", dim)
@@ -167,22 +171,19 @@ def run_cuts(word: Sequence[int]) -> list[int]:
     return [0, *itertools.compress(range(1, len(word)), map(gt, word, word[1:])), len(word)]
 
 
-def erase_bar(word: Word, cuts: list[int], i: int) -> Word:
+def erase_bar(word: bytes, cuts: list[int], i: int) -> bytes:
     """The word with bar i erased: the two runs it separates sorted into one.
 
-    ``cuts`` is ``run_cuts(word)``.  The result has the word's own type,
-    ``bytes`` on the face table and a tuple without one.  As the cuts are the
-    word's own descents, the letter before the merged run exceeds its least
-    letter and the letter after it is below its greatest, so the bars either
-    side stay descents: the result has exactly one block fewer.
+    ``cuts`` is ``run_cuts(word)``.  As the cuts are the word's own
+    descents, the letter before the merged run exceeds its least letter and
+    the letter after it is below its greatest, so the bars either side stay
+    descents: the result has exactly one block fewer.
 
-    >>> erase_bar((0, 3, 1, 2, 4), [0, 2, 5], 0)
-    (0, 1, 2, 3, 4)
     >>> erase_bar(b"\\0\\3\\1\\2\\4", [0, 2, 5], 0)
     b'\\x00\\x01\\x02\\x03\\x04'
     """
     lo, hi = cuts[i], cuts[i + 2]
-    return word[:lo] + type(word)(sorted(word[lo:hi])) + word[hi:]
+    return word[:lo] + bytes(sorted(word[lo:hi])) + word[hi:]
 
 
 def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
@@ -207,13 +208,14 @@ def core_blocks(word: Sequence[int]) -> tuple[Block, ...]:
 def face_from_perm(core: Sequence[int]) -> BarredFace:
     """The minimal shelling face of a permutation a_1 .. a_n (one-line
     notation): bars at its descents.  Raises ValueError unless core permutes
-    1..n.
+    1..n, n at most ``MAX_N``.
 
     >>> face_from_perm((2, 1))
     BarredFace(2, 02|13)
     """
     n = len(core)
-    return BarredFace.from_word(n, (0, *core, n + 1))
+    check_n(n)
+    return BarredFace.from_word(n, bytes((0, *core, n + 1)))
 
 
 def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
@@ -242,17 +244,17 @@ def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
     return BarredFace(n, tuple(blocks))
 
 
-def complement_word(word: tuple[int, ...]) -> tuple[int, ...]:
+def complement_word(word: bytes) -> bytes:
     """The sentinel word with its core letters a_i -> n+1-a_i.
 
     Exchanges ascents and descents at ranks 2..n, so the face dimension maps
     to n-3-dim.
 
-    >>> complement_word((0, 2, 1, 3, 4))
-    (0, 2, 3, 1, 4)
+    >>> list(complement_word(bytes((0, 2, 1, 3, 4))))
+    [0, 2, 3, 1, 4]
     """
     top = len(word) - 1
-    return (0, *map(top.__sub__, word[1:-1]), top)
+    return bytes((0, *map(top.__sub__, word[1:-1]), top))
 
 
 class MatchableType(enum.Enum):
@@ -262,7 +264,7 @@ class MatchableType(enum.Enum):
     TWO_SPLIT = "two-split"
 
 
-def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] | None:
+def diagnose_word(word: bytes) -> tuple[int, int, MatchableType, int] | None:
     """Lowest matchable block of a sentinel word, or None for a critical face.
 
     Returns (block index, start rank, match type, p): swapping the letters
@@ -280,9 +282,9 @@ def diagnose_word(word: tuple[int, ...]) -> tuple[int, int, MatchableType, int] 
       above the second letter of the block merged with the one above; p is
       the block's last position.
 
-    >>> diagnose_word((0, 1, 2, 3, 4))
+    >>> diagnose_word(b"\\0\\1\\2\\3\\4")
     (0, 1, <MatchableType.TWO_MERGED: 'two-merged'>, 2)
-    >>> diagnose_word((0, 2, 1, 3, 4)) is None
+    >>> diagnose_word(b"\\0\\2\\1\\3\\4") is None
     True
     """
     cuts = run_cuts(word)

@@ -215,10 +215,6 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     )
 
 
-def build_conjecture_report(n_max: int) -> ConjectureReport:
-    return ConjectureReport(tuple(conjecture_row(n) for n in range(1, n_max + 1)))
-
-
 def conjecture_payload(report: ConjectureReport) -> dict:
     rows = [
         {

@@ -9,8 +9,8 @@ table is the parent's, shared copy-on-write, and nothing is sent to it.
 
 ``split(stage, size, scan)`` runs a per-face scan over the ids [0, size):
 one ``scan(0, size)`` call in process, or ``scan(0, size // 2)`` here and
-``scan(size // 2, size)`` in the worker.  The caller joins the parts in id
-order.
+``scan(size // 2, size)`` in the worker, the two results joined by ``+=``,
+so the caller gets one result in id order either way.
 
 There is no option: a worker is used exactly when ``os.fork`` exists, this
 process may run on two CPUs or more, and the table has ``MIN_FACES`` faces
@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Callable, NoReturn, TypeVar
-
-A = TypeVar("A")
-B = TypeVar("B")
+from typing import Any, Callable, NoReturn
 
 # 7!: from the n = 7 table on, a forked half saves more than the fork and the
 # pickled result cost (BENCH_two_process_row.json)
@@ -47,16 +44,18 @@ def worth_a_worker(faces: int) -> bool:
     return faces >= MIN_FACES and not _in_worker and hasattr(os, "fork") and cpu_count() >= 2
 
 
-def split(stage: str, size: int, scan: Callable[[int, int], A]) -> list[A]:
-    """``[scan(0, size)]``, or with a worker the two halves of [0, size),
-    the upper one scanned in the worker."""
+def split(stage: str, size: int, scan: Callable[[int, int], Any]) -> Any:
+    """``scan(0, size)``, or with a worker the lower half of [0, size)
+    joined by ``+=`` to the upper half, which is scanned in the worker."""
     if not worth_a_worker(size):
-        return [scan(0, size)]
+        return scan(0, size)
     mid = size // 2
-    return list(both(stage, size, partial(scan, 0, mid), partial(scan, mid, size)))
+    lower, upper = both(stage, size, partial(scan, 0, mid), partial(scan, mid, size))
+    lower += upper
+    return lower
 
 
-def both(stage: str, faces: int, here: Callable[[], A], there: Callable[[], B]) -> tuple[A, B]:
+def both(stage: str, faces: int, here: Callable[[], Any], there: Callable[[], Any]) -> tuple:
     """``(here(), there())``; on a table of ``faces`` faces that is
     ``worth_a_worker``, ``there()`` runs in a forked worker meanwhile.
 

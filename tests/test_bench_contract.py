@@ -8,6 +8,8 @@ show as a crashed traced child, so these checks fail first and say so.
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from hcomplex import cli
@@ -57,3 +59,28 @@ def test_the_benchmark_report_argv_parses():
             f"hcomplex {' '.join(argv)} no longer parses; {CHANGE_BENCH_FIRST}"
         ) from None
     assert (args.n_max, args.format) == (8, "json")
+
+
+def _files(root):
+    return {
+        p: p.stat().st_mtime_ns for p in root.rglob("*")
+        if p.is_file() and "__pycache__" not in p.parts
+    }
+
+
+def test_a_traced_report_n8_reaches_every_covered_layer(tmp_path, subprocess_env):
+    # tier-1 otherwise traces only small reports, which skip tracer.FROM_ROW_8
+    tracer = _tracer()
+    before = _files(PERFBENCH)
+    trace = tmp_path / "report-8.jsonl"
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "report", "8", "--seed", "1",
+         "--trace", str(trace)],
+        env=dict(subprocess_env, PYTHONDONTWRITEBYTECODE="1"), cwd=tmp_path,
+        capture_output=True, check=True,
+    )
+    assert out.stdout == (PERFBENCH / "expected" / "report-n8.json").read_bytes()
+    metrics = tracer.layer_metrics(*tracer.read_trace(trace))
+    zero = [name for name in tracer.covered("report", 8) if not metrics[name] > 0]
+    assert not zero, f"a traced report --n-max 8 reads 0 for {zero}; {CHANGE_BENCH_FIRST}"
+    assert _files(PERFBENCH) == before

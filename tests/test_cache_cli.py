@@ -146,6 +146,37 @@ def test_cli_falsification_exits_1(capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
+def test_cli_worker_that_dies_is_a_resource_error(capsys, monkeypatch):
+    import os
+
+    from hcomplex import reports, workers
+
+    monkeypatch.setattr(workers, "MIN_FACES", 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    check_matching_side = reports.check_matching_side
+
+    def dies_on_the_dual_side(table, matching, digest=False):
+        if matching.dual and workers._in_worker:
+            os._exit(3)
+        return check_matching_side(table, matching, digest)
+
+    monkeypatch.setattr(reports, "check_matching_side", dies_on_the_dual_side)
+    assert main(["report", "--n-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual matching side: the worker exited with code 3"), err
+
+
+def test_cli_witness_beyond_the_byte_limit_exits_2_before_any_term(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("no witness term may be built for n > 254")
+
+    monkeypatch.setattr("hcomplex.witnesses.cycle_witness", never)
+    monkeypatch.setattr("hcomplex.witnesses.face_from_perm", never)
+    assert main(["witness", "--n", "255", "--k", "84", "--unsafe-budget"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "254" in err, err
+
+
 def test_cli_broken_cover_relation_is_a_falsification(capsys, monkeypatch):
     from hcomplex import reports
     from hcomplex.complexes import FaceTable

@@ -1,7 +1,7 @@
 """Face enumeration, counting identities, free faces, and the shelling scan."""
 
 from array import array
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
 
 import pytest
@@ -96,6 +96,23 @@ def test_cover_incidence_is_covers_down_in_bar_order(table):
             assert t.lowers(fid) == array("i", covers_down(t, word))
 
 
+def test_faces_carry_the_table_words_and_offsets_come_from_bars(table):
+    for n in range(1, 7):
+        t = table(n)
+        offsets, _ = t.cover_incidence()
+        assert offsets == array("i", accumulate(t.bars, initial=0))
+        assert all(t.faces[i].word is t.words[i] for i in range(len(t)))
+
+
+def test_bar_counts_all_one_too_high_are_caught_at_face_0():
+    # every face then expects its covers one bar higher too, so only the
+    # cover count of face 0 (no bars, no covers) disagrees
+    t = enumerate_faces(4)
+    bad = FaceTable(4, t.words, t.id_of_word, bytes(b + 1 for b in t.bars))
+    with pytest.raises(AssertionError, match=r"face 0 covers 0 faces, but bars\[0\] is 1"):
+        bad.cover_incidence()
+
+
 def test_covers_down_rejects_a_table_with_swapped_faces():
     # two words trade ids while the bar counts stay where they were
     t = enumerate_faces(4)
@@ -119,7 +136,7 @@ def test_faces_view_builds_each_face_from_its_word(table):
         assert [t.faces[i] for i in range(len(t))] == expected
         assert t.faces[-1] == expected[-1] and t.faces[1:3] == expected[1:3]
         assert [f.dim + 1 for f in expected] == list(t.bars)
-        assert [bytes(f.word) for f in expected] == t.words
+        assert [f.word for f in expected] == t.words
 
 
 def test_faces_view_is_read_only_and_checks_each_word():
@@ -132,7 +149,7 @@ def test_faces_view_is_read_only_and_checks_each_word():
         t.faces[3]
     with pytest.raises(ValueError, match="not a permutation"):
         list(t.faces)
-    assert t.faces[4].word == tuple(t.words[4])
+    assert t.faces[4].word is t.words[4]
 
 
 def test_id_of_face_inverts_the_view(table):

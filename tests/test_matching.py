@@ -263,7 +263,7 @@ def _classify_desc(blocks: tuple[tuple[int, ...], ...], i: int) -> MatchableType
 def dual_diagnosis_by_runs(f: BarredFace):
     """(run index, start rank, match type) of the lowest matchable
     decreasing run of the mirrored word, or None."""
-    blocks = _desc_runs((f.n + 1,) + f.word[1:-1] + (0,))
+    blocks = _desc_runs((f.n + 1, *f.word[1:-1], 0))
     for i in range(len(blocks)):
         kind = _classify_desc(blocks, i)
         if kind is not None:
@@ -273,7 +273,7 @@ def dual_diagnosis_by_runs(f: BarredFace):
 
 def dual_partner_by_runs(f: BarredFace) -> BarredFace | None:
     """Same map as dual_partner, computed on mirrored words directly."""
-    core = f.word[1:-1]
+    core = tuple(f.word[1:-1])
     n = f.n
     blocks = _desc_runs((n + 1,) + core + (0,))
     for i in range(len(blocks)):
@@ -316,7 +316,7 @@ def one_adjacent_swap_apart(v, w):
 
 def complemented(f):
     n = f.n
-    return BarredFace.from_word(n, (0, *(n + 1 - v for v in f.word[1:-1]), n + 1))
+    return BarredFace.from_word(n, bytes((0, *(n + 1 - v for v in f.word[1:-1]), n + 1)))
 
 
 def assert_local_match(f, g, match, structure):

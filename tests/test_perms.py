@@ -37,23 +37,41 @@ def all_faces(n):
     return [face_from_perm(c) for c in permutations(range(1, n + 1))]
 
 
-def test_words_must_be_tuples():
-    # a list word would build an unhashable value unequal to the tuple one
-    with pytest.raises(ValueError, match="tuple"):
-        BarredFace.from_word(2, [0, 2, 1, 3])
-    assert BarredFace.from_word(2, (0, 2, 1, 3)) == BarredFace(2, ((0, 2), (1, 3)))
+def test_words_must_be_bytes():
+    # a face keeps the table's own word object; any other sequence is refused
+    for word in ([0, 2, 1, 3], (0, 2, 1, 3), bytearray(b"\0\2\1\3")):
+        with pytest.raises(ValueError, match="bytes"):
+            BarredFace.from_word(2, word)
+    word = bytes((0, 2, 1, 3))
+    assert BarredFace.from_word(2, word) == BarredFace(2, ((0, 2), (1, 3)))
+    assert BarredFace.from_word(2, word).word is word
+
+
+def test_n_above_the_byte_limit_is_refused():
+    from hcomplex.complexes import enumerate_faces
+    from hcomplex.perms import MAX_N
+    from hcomplex.witnesses import witness_spec
+
+    assert MAX_N == 254 and face_from_perm(range(1, 255)).n == 254
+    for build in (
+        lambda: face_from_perm(range(1, 256)),
+        lambda: witness_spec(255, 84),
+        lambda: enumerate_faces(255, max_n=None),
+    ):
+        with pytest.raises(ValueError, match="254"):
+            build()
 
 
 def test_from_word_rejects_what_is_not_a_sentinel_word():
     for n, word in ((2, (0, 1, 1, 3)), (2, (1, 0, 2, 3)), (3, (0, 2, 1, 3)), (2, (0, 2, 1))):
         with pytest.raises(ValueError):
-            BarredFace.from_word(n, word)
+            BarredFace.from_word(n, bytes(word))
 
 
 def test_from_word_equals_the_blocks_constructor_exhaustively():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
-            word = (0, *core, n + 1)
+            word = bytes((0, *core, n + 1))
             f, g = BarredFace.from_word(n, word), BarredFace(n, blocks_of_word(word))
             assert f == g and hash(f) == hash(g)
             assert (f.n, f.word, f.dim, f.blocks) == (g.n, g.word, g.dim, g.blocks)
@@ -63,13 +81,13 @@ def test_from_word_equals_the_blocks_constructor_exhaustively():
 def test_faces_are_immutable():
     f = BarredFace(2, ((0, 2), (1, 3)))
     # the stored fields, a derived property and a name the class lacks
-    for name, value in (("n", 3), ("word", (0, 1, 2, 3)), ("dim", -1),
+    for name, value in (("n", 3), ("word", b"\0\1\2\3"), ("dim", -1),
                         ("blocks", ((0, 1, 2, 3),)), ("foo", 1)):
         with pytest.raises(FrozenInstanceError):
             setattr(f, name, value)
         with pytest.raises(FrozenInstanceError):
             delattr(f, name)
-    assert (f.n, f.word, f.dim) == (2, (0, 2, 1, 3), 0)
+    assert (f.n, f.word, f.dim) == (2, b"\0\2\1\3", 0)
     for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert copied == f and copied.dim == f.dim
 
@@ -197,7 +215,7 @@ def test_perm_face_round_trip_exhaustive():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
             f = face_from_perm(core)
-            assert f.word[1:-1] == core and f.n == n
+            assert f.word[1:-1] == bytes(core) and f.n == n
     for core in ((), (1, 1), (2, 3), (0, 1), (1, 3)):  # not a permutation of 1..n, n >= 1
         with pytest.raises(ValueError):
             face_from_perm(core)
@@ -223,9 +241,9 @@ def test_face_from_chain_rejects_bad_chains():
 def test_complement_is_an_involution():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):
-            word = (0, *core, n + 1)
+            word = bytes((0, *core, n + 1))
             flipped = complement_word(word)
-            assert flipped == (0, *(n + 1 - v for v in core), n + 1)
+            assert flipped == bytes((0, *(n + 1 - v for v in core), n + 1))
             assert complement_word(flipped) == word
 
 
@@ -382,22 +400,20 @@ def test_blocks_of_word_cuts_at_descents():
 
 
 sentinel_words = st.integers(1, 12).flatmap(
-    lambda n: st.permutations(range(1, n + 1)).map(lambda core: (0, *core, n + 1))
+    lambda n: st.permutations(range(1, n + 1)).map(lambda core: bytes((0, *core, n + 1)))
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(sentinel_words)
-def test_run_cuts_and_erase_bar_agree_on_bytes_and_tuples(word):
+def test_run_cuts_and_erase_bar_on_bytes_words(word):
     cuts = run_cuts(word)
     blocks = blocks_of_word(word)
-    assert sum(blocks, ()) == word
+    assert bytes(sum(blocks, ())) == word
     assert [0, *accumulate(map(len, blocks))] == cuts
-    assert run_cuts(bytes(word)) == cuts
     for i in range(len(cuts) - 2):
         erased = erase_bar(word, cuts, i)
-        assert type(erased) is tuple
-        assert erase_bar(bytes(word), cuts, i) == bytes(erased)
+        assert type(erased) is bytes
         # the two runs either side of bar i become one, the others stay
         assert blocks_of_word(erased) == (
             blocks[:i] + (tuple(sorted(blocks[i] + blocks[i + 1])),) + blocks[i + 2:]

@@ -87,6 +87,26 @@ def test_an_exception_in_the_worker_is_raised_again_in_the_parent(worker_on, mon
     assert str(forked.value) == str(serial.value)
 
 
+def _one_bar_count_off(fid):
+    t = enumerate_faces(5)
+    bars = bytearray(t.bars)
+    bars[fid] += 1
+    return FaceTable(5, t.words, t.id_of_word, bytes(bars))
+
+
+@pytest.mark.parametrize("fid", [0, 1, 59, 60, 100, 119])
+def test_one_wrong_bar_count_names_its_face_with_and_without_the_worker(
+    fid, worker_on, monkeypatch
+):
+    with pytest.raises(AssertionError, match=rf"\bface {fid}\b") as forked:
+        _one_bar_count_off(fid).cover_incidence()
+    _no_child_left()
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+    with pytest.raises(AssertionError, match=rf"\bface {fid}\b") as serial:
+        _one_bar_count_off(fid).cover_incidence()
+    assert str(forked.value) == str(serial.value)
+
+
 def test_a_worker_that_exits_without_a_result_raises_runtime_error(worker_on):
     with pytest.raises(RuntimeError, match=r"^a stage: the worker exited with code 3"):
         workers.both("a stage", 1, lambda: 1, lambda: os._exit(3))
