@@ -29,7 +29,7 @@ print(f"chain of prefix-set bitmasks: {f.chain()}")
 # the whole complex for n = 4: 24 faces, one per permutation
 table = enumerate_faces(4)
 print(f"\nn=4: {len(table)} faces")
-for face in table.faces:
+for face in map(table.face, range(len(table))):
     print(f"  {face!r:>32}  dim {face.dim}")
 
 # face counts by dimension are an Eulerian row (dim d-1 <-> d descents)

@@ -56,5 +56,5 @@ for dual in (False, True):
 
 # critical faces of the primal matching keep every block at size <= 3
 crit = critical_faces(table, build_matching(table))
-sample = [table.faces[i] for i in crit[2][:4]]
+sample = [table.face(i) for i in crit[2][:4]]
 print(f"\nsome critical 2-faces: {sample}")

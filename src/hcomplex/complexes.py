@@ -18,8 +18,8 @@ holds the same key objects in id order; ``bars`` holds each face's bar count
 two ``array('i')``: N + 1 offsets, the running sums of ``bars`` as face i
 covers ``bars[i]`` faces, and the ids of the faces each face covers, one
 ``covers_down`` call per face, in bar order.  ``lowers(fid)`` is one face's
-slice.  No ``BarredFace`` is stored: ``faces`` builds each one around its
-stored word when it is read, so ``faces[i].word is words[i]``.  The Morse
+slice.  No ``BarredFace`` is stored: ``face(i)`` builds one around its
+stored word when it is read, so ``face(i).word is words[i]``.  The Morse
 digraphs, the free-face test and the boundaries read the incidence.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,33 +52,16 @@ def _check_budget(n: int, max_n: int | None, what: str) -> None:
         )
 
 
-class FaceView(Sequence):
-    """The faces of a table, read-only: each index or iteration builds the
-    face of a stored word with ``BarredFace.from_word``, which keeps that
-    word, so a corrupted word raises ValueError when its face is read."""
-
-    def __init__(self, table: FaceTable) -> None:
-        self._n, self._words = table.n, table.words
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return BarredFace.from_word(self._n, self._words[i])
-
-
 @dataclass
 class FaceTable:
     """All faces for one n, ids in lexicographic order of the permutation.
 
     ``words[i]`` is face i's sentinel word as bytes, the object that keys
-    ``id_of_word``, and ``bars[i]`` its bar count, dim + 1.  ``faces`` is a
-    read-only view that builds each face from its word when it is read.
+    ``id_of_word``, and ``bars[i]`` its bar count, dim + 1.  ``face(i)``
+    builds face i from its word when it is read.
 
     >>> t = enumerate_faces(3)
-    >>> t.words[5], t.id_of_word[t.words[5]], t.bars[5], t.lowers(5), t.faces[5]
+    >>> t.words[5], t.id_of_word[t.words[5]], t.bars[5], t.lowers(5), t.face(5)
     (b'\\x00\\x03\\x02\\x01\\x04', 5, 2, array('i', [3, 4]), BarredFace(3, 03|2|14))
     """
 
@@ -95,9 +77,10 @@ class FaceTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
-    def faces(self) -> FaceView:
-        return FaceView(self)
+    def face(self, i: int) -> BarredFace:
+        """Face i, built around its stored word by ``BarredFace.from_word``,
+        so a corrupted word raises ValueError when its face is read."""
+        return BarredFace.from_word(self.n, self.words[i])
 
     def id_of_face(self, f: BarredFace) -> int:
         """The id of f; raises ValueError unless f is a face of this table."""
@@ -150,7 +133,7 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     """Build the face table for n; one face per permutation.
 
     >>> t = enumerate_faces(3)
-    >>> len(t), [f.dim for f in t.faces]
+    >>> len(t), [f.dim for f in map(t.face, range(len(t)))]
     (6, [-1, 0, 0, 0, 0, 1])
     """
     _check_budget(n, max_n, "face enumeration")

@@ -39,6 +39,7 @@ from .snf import Rows, rank_mod_p, rank_q, smith_normal_form
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
 _FIELD_CHAR = {"F2": 2, "F3": 3, "F5": 5}
+TORSION_PRIMES = tuple(_FIELD_CHAR.values())  # tested by ``nonzero_dims_via_ranks``
 
 
 @frozen_slots
@@ -160,35 +161,23 @@ def expected_nonzero_dims(n: int) -> set[int]:
     return set(range(lo, hi + 1))
 
 
-def nonzero_dims_via_ranks(
-    table: FaceTable, primes: tuple[int, ...] = (2, 3, 5)
-) -> set[int]:
+def nonzero_dims_via_ranks(table: FaceTable) -> set[int]:
     """Non-trivial dimensions from rational plus mod-p ranks.
 
-    Free parts come from rational Betti numbers; p-torsion in H~_d shows up
-    as a rank drop of d_{d+1} from Q to F_p.  Detection covers the listed
-    primes, which is what the larger cases are checked with.  All the ranks
-    are counts over the shared ``invariant_factors``, so this adds no
-    elimination to a ``betti_table`` call on the same table.
+    Free parts are the non-zero rational Betti numbers; p-torsion in H~_{d-1}
+    shows up as a rank drop of d_d from Q to F_p, for each p in
+    ``TORSION_PRIMES``, which is what the larger cases are checked with.
+    All the ranks are counts over the shared ``invariant_factors``, so this
+    adds no elimination to a ``betti_table`` call on the same table.
 
     >>> sorted(nonzero_dims_via_ranks(enumerate_faces(5)))
     [1]
     """
-    n = table.n
-    f = f_vector(table)  # f[d + 1] faces of dimension d
-    rq: dict[int, int] = {}
-    rp: dict[int, dict[int, int]] = {p: {} for p in primes}
-    for d in range(0, n - 1):
+    out = betti_table(table, "Q").nonzero_dims()
+    for d in range(0, table.n - 1):
         invariants = invariant_factors(table, d)
-        rq[d] = rank_q(invariants)
-        for p in primes:
-            rp[p][d] = rank_mod_p(invariants, p)
-    out = set()
-    for d in range(-1, n - 1):
-        free = f[d + 1] - rq.get(d, 0) - rq.get(d + 1, 0)
-        drop = any(rp[p].get(d + 1, 0) < rq.get(d + 1, 0) for p in primes)
-        if free or drop:
-            out.add(d)
+        if any(rank_mod_p(invariants, p) < len(invariants) for p in TORSION_PRIMES):
+            out.add(d - 1)
     return out
 
 

@@ -12,6 +12,10 @@ The dual matching applies the same rules to the order-reversed structure
 word.  Complement reverses the lex order of face ids, so the dual pairs are
 the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
 
+A ``MatchingMap`` is an ``array('i')`` of partner ids, ``pairs`` a new dict
+of them.  Whatever reads a matching against a table calls ``check_table``
+first: a matching built on a table of another size raises ValueError.
+
 >>> from .complexes import enumerate_faces
 >>> build_matching(enumerate_faces(3), dual=True).pairs
 {4: 5, 5: 4}
@@ -20,10 +24,9 @@ the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count
+from itertools import compress, count, islice
 
 from . import workers
 from .complexes import FaceTable
@@ -91,37 +94,11 @@ def dual_partner(f: BarredFace) -> BarredFace | None:
 # -- whole-table matchings ----------------------------------------------------
 
 
-class PairView(Mapping):
-    """Read-only face id -> partner id over a partner array, critical faces
-    left out; ``len`` is the matched count, kept by the ``MatchingMap``."""
-
-    def __init__(self, partners: array, matched: int) -> None:
-        self._partners, self._matched = partners, matched
-
-    def __getitem__(self, fid: int) -> int:
-        gid = self._partners[fid] if 0 <= fid < len(self._partners) else -1
-        if gid < 0:
-            raise KeyError(fid)
-        return gid
-
-    def __contains__(self, fid: object) -> bool:
-        return type(fid) is int and 0 <= fid < len(self._partners) and self._partners[fid] >= 0
-
-    def __iter__(self) -> Iterator[int]:
-        return compress(count(), map((-1).__lt__, self._partners))
-
-    def __len__(self) -> int:
-        return self._matched
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass
 class MatchingMap:
     """One side's matching: ``partners[f]`` is the id of face f's cover-pair
     partner, -1 when f is critical.  ``matched`` counts the faces with a
-    partner, and ``pairs`` reads the array as a mapping.
+    partner, and ``pairs`` copies the matched ones into a new dict.
 
     >>> from .complexes import enumerate_faces
     >>> m = build_matching(enumerate_faces(3), dual=True)
@@ -138,8 +115,18 @@ class MatchingMap:
         self.matched = len(self.partners) - self.partners.count(-1)
 
     @property
-    def pairs(self) -> PairView:
-        return PairView(self.partners, self.matched)
+    def pairs(self) -> dict[int, int]:
+        return {f: g for f, g in enumerate(self.partners) if g >= 0}
+
+
+def check_table(table: FaceTable, matching: MatchingMap) -> None:
+    """Raise ValueError unless the matching was built on a table of this
+    size: one partner entry per face, and the same n."""
+    if len(matching.partners) != len(table) or matching.n != table.n:
+        raise ValueError(
+            f"a matching of {len(matching.partners)} faces (n={matching.n}) "
+            f"was given with a table of {len(table)} faces (n={table.n})"
+        )
 
 
 def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
@@ -168,9 +155,9 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
 
 def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
     """The partner ids of faces lo..hi-1, -1 for a critical face."""
-    id_of_face, face = table.id_of_face, table.faces.__getitem__
-    found = map(partner, map(face, range(lo, hi)))
-    return array("i", (-1 if g is None else id_of_face(g) for g in found))
+    n, ids = table.n, table.id_of_word
+    found = (partner(BarredFace.from_word(n, w)) for w in islice(table.words, lo, hi))
+    return array("i", (-1 if g is None else ids[g.word] for g in found))
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
@@ -185,6 +172,7 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     >>> critical_faces(t, build_matching(t))
     {-1: [], 0: [2, 3, 4], 1: [5]}
     """
+    check_table(table, matching)
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
     words, bars = table.words, table.bars
     for fid in compress(count(), map((0).__gt__, matching.partners)):
@@ -223,6 +211,7 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     >>> verify_well_defined(t, build_matching(t, dual=True)).ok
     True
     """
+    check_table(table, matching)
     violations: list[str] = []
     partners = matching.partners
     size = len(partners)

@@ -15,7 +15,7 @@ from itertools import compress, count, islice
 from operator import not_
 
 from .complexes import FaceTable
-from .matching import MatchingMap, critical_faces
+from .matching import MatchingMap, check_table, critical_faces
 
 
 @dataclass
@@ -55,6 +55,7 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     >>> g.arc_count, g.out(0), g.out(5)
     (6, array('i', [1]), array('i', [3, 4]))
     """
+    check_table(table, matching)
     offsets, lowers = table.cover_incidence()
     partners = matching.partners
     up = array("i", [-1]) * len(partners)  # the head of each node's up arc

@@ -41,7 +41,7 @@ from .homology import (
     expected_nonzero_dims,
     nonzero_dims_via_ranks,
 )
-from .matching import MatchingMap, build_matching, verify_well_defined
+from .matching import MatchingMap, build_matching, check_table, verify_well_defined
 from .morse import (
     MorseNumbers,
     build_digraph,
@@ -69,8 +69,10 @@ def face_table_payload(table: FaceTable) -> dict:
 
 def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
     """Export {n, dual, pairs:[[lower, upper]], critical:[ids]}."""
-    pairs = sorted([a, b] for a, b in matching.pairs.items() if table.bars[a] < table.bars[b])
-    critical = [i for i in range(len(table)) if i not in matching.pairs]
+    check_table(table, matching)
+    partners, bars = matching.partners, table.bars
+    pairs = sorted([f, g] for f, g in enumerate(partners) if g >= 0 and bars[f] < bars[g])
+    critical = [f for f, g in enumerate(partners) if g < 0]
     return {"n": table.n, "dual": matching.dual, "pairs": pairs, "critical": critical}
 
 

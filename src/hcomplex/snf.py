@@ -100,22 +100,17 @@ class _Eliminator:
         self.pivots.append(j)
 
     def run(self) -> Rows:
-        """Eliminate until no unit pivot remains; returns the residual."""
-        deferred: list[int] = []
+        """Eliminate until no unit pivot remains; returns the residual.  A
+        row with no unit entry is passed over: ``_pivot`` re-pushes each row
+        it changes."""
         while self.heap:
             length, i = heappop(self.heap)
             row = self.rows.get(i)
             if row is None or len(row) != length:
                 continue  # stale entry
             j = self._pick_col(row)
-            if j is None:
-                deferred.append(i)
-                continue
-            self._pivot(i, j)
-            for d in deferred:
-                if d in self.rows:
-                    heappush(self.heap, (len(self.rows[d]), d))
-            deferred.clear()
+            if j is not None:
+                self._pivot(i, j)
         return self.rows
 
 

@@ -33,12 +33,13 @@ def test_cli_morse_frozen_output(capsys):
 
 # Outputs of the list-built digraph and the dict of pairs, before both went
 # flat: the certificate digests of ``morse --n 7`` and the sha256 of the
-# whole ``match --n 6`` output.
+# whole ``match --n 6`` output, primal and dual.
 MORSE_N7_DIGEST = {
     False: "4e00e70af6b11bc7403f6b2b0aeddbb4e51fb8e8c136fa070d1c618e77754f50",
     True: "a255fbd78c0fd3b3f298de4957a08ee3266771254dddf6f7e32990c2e540d5dc",
 }
 MATCH_N6_SHA256 = "d11fa8d74e07da9665a3531ad00d147f0ef34396ce04ac39906923942b7c4c49"
+MATCH_N6_DUAL_SHA256 = "f6b5e3676c37a1f0cb133f203df578e4686599c655ea5848fc8b89f0e4ba78a2"
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -52,6 +53,13 @@ def test_cli_match_n6_frozen(capsys):
 
     assert main(["match", "--n", "6"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCH_N6_SHA256
+
+
+def test_cli_match_n6_dual_frozen(capsys):
+    import hashlib
+
+    assert main(["match", "--n", "6", "--dual"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCH_N6_DUAL_SHA256
 
 
 def test_cli_witness_frozen_output(capsys):

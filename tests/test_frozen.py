@@ -33,7 +33,7 @@ M = build_matching(T)
 NUMBERS = morse_numbers(T, M)
 
 INSTANCES = {
-    "BarredFace": lambda: T.faces[5],
+    "BarredFace": lambda: T.face(5),
     "ShellingReport": lambda: lex_shelling_check(3),
     "MatchingReport": lambda: verify_well_defined(T, M),
     "AcyclicityCertificate": lambda: check_acyclic(build_digraph(T, M)),

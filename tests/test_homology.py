@@ -51,12 +51,12 @@ def dense(bm):
 
 def boundary_by_chain_deletion(t, dim):
     """d_dim built by deleting one chain element and looking the rest up."""
-    id_of_chain = {f.chain(): i for i, f in enumerate(t.faces)}
+    id_of_chain = {f.chain(): i for i, f in enumerate(map(t.face, range(len(t))))}
     by_dim = t.ids_by_dim()
     row_pos = {g: k for k, g in enumerate(by_dim.get(dim - 1, []))}
     rows = {}
     for c, g in enumerate(by_dim.get(dim, [])):
-        chain = t.faces[g].chain()
+        chain = t.face(g).chain()
         for i in range(len(chain)):
             r = row_pos[id_of_chain[chain[:i] + chain[i + 1:]]]
             rows.setdefault(r, {})[c] = 1 if i % 2 == 0 else -1
@@ -89,7 +89,8 @@ def test_boundary_matrices_compose_to_zero(table):
 
 def test_boundary_of_boundary_is_zero_chainwise(table):
     for n in range(2, 6):
-        for f in table(n).faces:
+        t = table(n)
+        for f in map(t.face, range(len(t))):
             if f.dim < 1:
                 continue
             dd = boundary_of_chain(boundary_of_chain(SignedChain(n, f.dim, {f: 1})))
@@ -116,9 +117,9 @@ def test_boundary_of_chain_equals_table_columns(table):
             cols = {}
             if d >= 0:
                 for c, col in boundary_matrix(t, d).cols.items():
-                    cols[c] = {t.faces[by_dim[d - 1][r]]: v for r, v in col.items()}
+                    cols[c] = {t.face(by_dim[d - 1][r]): v for r, v in col.items()}
             for c, g in enumerate(by_dim[d]):
-                f = t.faces[g]
+                f = t.face(g)
                 got = boundary_of_chain(SignedChain(n, d, {f: 1}))
                 assert got.dim == d - 1
                 assert dict(got.coeffs) == cols.get(c, {}), f

@@ -335,7 +335,8 @@ def assert_local_match(f, g, match, structure):
 
 def test_partner_is_a_cover_involution_with_shared_rank(table):
     for n in range(1, 7):
-        for f in table(n).faces:
+        t = table(n)
+        for f in map(t.face, range(len(t))):
             g = partner(f)
             if g is not None:
                 assert_local_match(f, g, partner, lambda h: h)
@@ -367,7 +368,8 @@ def test_dual_partner_properties_beyond_enumeration(core):
 
 def test_partners_equal_block_surgery(table):
     for n in range(1, 8):
-        for f in table(n).faces:
+        t = table(n)
+        for f in map(t.face, range(len(t))):
             assert partner(f) == partner_by_surgery(f), f
             assert dual_partner(f) == dual_partner_by_surgery(f), f
 
@@ -403,7 +405,8 @@ def test_whole_table_matchings_verify(table, matching):
 
 def test_dual_partner_matches_mirrored_implementation(table):
     for n in range(1, 6):
-        for f in table(n).faces:
+        t = table(n)
+        for f in map(t.face, range(len(t))):
             assert dual_partner(f) == dual_partner_by_runs(f), f
 
 
@@ -440,7 +443,7 @@ def test_dual_matching_equals_complement_conjugated_primal(table, matching):
         t = table(n)
         comp = {
             fid: t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))]
-            for fid, f in enumerate(t.faces)
+            for fid, f in enumerate(map(t.face, range(len(t))))
         }
         primal, dual = matching(n).pairs, matching(n, True).pairs
         assert dual == {comp[f]: comp[g] for f, g in primal.items()}
@@ -450,7 +453,7 @@ def test_complement_reverses_face_ids(table):
     for n in range(1, 8):
         t = table(n)
         last = len(t) - 1
-        for fid, f in enumerate(t.faces):
+        for fid, f in enumerate(map(t.face, range(len(t)))):
             assert t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))] == last - fid
 
 
@@ -500,13 +503,31 @@ def test_primal_verifier_diagnoses_the_faces_it_is_given():
 def test_cleared_pairs_leave_later_matchings_unchanged():
     t = enumerate_faces(5)
     primal, dual = build_matching(t), build_matching(t, dual=True)
-    expected = (dict(primal.pairs), dict(dual.pairs))
-    for m in (primal, dual):
-        with pytest.raises(TypeError):
-            m.pairs[0] = 1  # the pairs are a read-only view
+    expected = (primal.pairs, dual.pairs)
+    for m, pairs in zip((primal, dual), expected):
+        partners = array("i", m.partners)
+        written = m.pairs
+        written[0] = 0  # no face is its own partner: a write the copy alone sees
+        assert m.partners == partners and m.pairs == pairs != written
         m.partners[:] = array("i", [-1]) * len(t)
     again = build_matching(t), build_matching(t, dual=True)
-    assert (dict(again[0].pairs), dict(again[1].pairs)) == expected
+    assert (again[0].pairs, again[1].pairs) == expected
+
+
+@pytest.mark.parametrize("sizes", [(4, 3), (3, 4)])
+def test_a_matching_built_on_another_table_is_a_value_error(sizes):
+    from hcomplex.morse import build_digraph
+    from hcomplex.reports import matching_payload
+
+    table_n, matching_n = sizes
+    for dual in (False, True):
+        m = build_matching(enumerate_faces(matching_n), dual=dual)
+        for check in (verify_well_defined, critical_faces, build_digraph, matching_payload):
+            t = enumerate_faces(table_n)
+            counts = rf"{factorial(matching_n)} faces \(n={matching_n}\) .* {factorial(table_n)} faces"
+            with pytest.raises(ValueError, match=counts):
+                check(t, m)
+            assert t._incidence is None  # refused before the cover incidence is built
 
 
 def test_pairs_view_reads_the_partner_array(table, matching):
@@ -550,7 +571,8 @@ def assert_word_diagnosis_equals_oracles(f):
 
 def test_word_diagnosis_equals_block_oracle_through_n8(table):
     for n in range(1, 9):
-        for f in table(n).faces:
+        t = table(n)
+        for f in map(t.face, range(len(t))):
             assert_word_diagnosis_equals_oracles(f)
 
 

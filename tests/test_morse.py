@@ -75,14 +75,14 @@ def test_digraph_orients_every_cover_edge(table, matching):
         t = table(n)
         for dual in (False, True):
             g = build_digraph(t, matching(n, dual))
-            assert g.arc_count == sum(f.dim + 1 for f in t.faces)
+            assert g.arc_count == sum(f.dim + 1 for f in map(t.face, range(len(t))))
             assert g.arc_count == len(g.targets) == g.offsets[-1]
             pairs = matching(n, dual).pairs
             up = sum(
                 1
                 for v in range(len(g))
                 for w in g.out(v)
-                if t.faces[w].dim == t.faces[v].dim + 1
+                if t.face(w).dim == t.face(v).dim + 1
             )
             assert up * 2 == len(pairs)
 

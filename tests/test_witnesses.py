@@ -103,7 +103,7 @@ def test_witnesses_beyond_enumeration_reach():
 def test_local_freeness_scan_matches_table_oracle(table):
     for n in range(1, 6):
         t = table(n)
-        for f in t.faces:
+        for f in map(t.face, range(len(t))):
             assert has_local_parent(f) == (not is_free_face(t, f)), f
             assert has_local_parent_by_neighbour_bars(f) == has_local_parent(f), f
 
@@ -146,6 +146,6 @@ def test_unit_free_face_blocks_boundary_status(table):
     t = table(5)
     f = free_face(5, 1)
     fid = t.id_of_face(f)
-    for g in t.faces:
+    for g in map(t.face, range(len(t))):
         if g.dim == f.dim + 1:
             assert fid not in covers_down(t, bytes(g.word))
