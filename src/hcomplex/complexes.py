@@ -11,9 +11,9 @@ recomputes, definitionally, the minimal new face of every facet of the order
 complex of the lattice under the lexicographic shelling and confirms it is
 the descent chain.
 
-The table is flat.  ``id_of_word`` maps each face's sentinel word, as
-``bytes`` (0, a_1..a_n, n+1), to its id, ids in lex order, and ``words``
-holds the same key objects in id order; ``bars`` holds each face's bar count
+The table is flat.  ``words`` lists each face's sentinel word, as ``bytes``
+(0, a_1..a_n, n+1), in lex order, so a face's id is its word's lex rank and
+``id_of_word`` finds it by bisection; ``bars`` holds each face's bar count
 (dim + 1) in one ``bytes``.  The cover relation (erase one bar) is kept as
 two ``array('i')``: N + 1 offsets, the running sums of ``bars`` as face i
 covers ``bars[i]`` faces, and the ids of the faces each face covers, one
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,22 +57,21 @@ def _check_budget(n: int, max_n: int | None, what: str) -> None:
 class FaceTable:
     """All faces for one n, ids in lexicographic order of the permutation.
 
-    ``words[i]`` is face i's sentinel word as bytes, the object that keys
-    ``id_of_word``, and ``bars[i]`` its bar count, dim + 1.  ``face(i)``
-    builds face i from its word when it is read.
+    ``words[i]`` is face i's sentinel word as bytes, strictly increasing in
+    i, and ``bars[i]`` its bar count, dim + 1.  ``face(i)`` builds face i
+    from its word when it is read.
 
     >>> t = enumerate_faces(3)
-    >>> t.words[5], t.id_of_word[t.words[5]], t.bars[5], t.lowers(5), t.face(5)
+    >>> t.words[5], t.id_of_word(t.words[5]), t.bars[5], t.lowers(5), t.face(5)
     (b'\\x00\\x03\\x02\\x01\\x04', 5, 2, array('i', [3, 4]), BarredFace(3, 03|2|14))
     """
 
     n: int
     words: list[bytes]
-    id_of_word: dict[bytes, int]
     bars: bytes
     _incidence: tuple[array, array] | None = field(default=None, repr=False)
     _partners: array | None = field(default=None, repr=False)
-    _ids_by_dim: dict[int, list[int]] | None = field(default=None, repr=False)
+    _ids_by_dim: dict[int, array] | None = field(default=None, repr=False)
     _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -82,12 +82,25 @@ class FaceTable:
         so a corrupted word raises ValueError when its face is read."""
         return BarredFace.from_word(self.n, self.words[i])
 
+    def id_of_word(self, word: bytes) -> int:
+        """The id of the face of ``word``, its lex rank, by bisection: KeyError
+        unless ``words`` lists it, AssertionError if bisection misses it there."""
+        words = self.words
+        i = bisect_left(words, word)
+        if i < len(words) and words[i] == word:
+            return i
+        if word in words:
+            raise AssertionError(f"words out of lex order: bisection misses face {words.index(word)}")
+        raise KeyError(word)
+
     def id_of_face(self, f: BarredFace) -> int:
         """The id of f; raises ValueError unless f is a face of this table."""
-        fid = self.id_of_word.get(f.word) if f.n == self.n else None
-        if fid is None:
-            raise ValueError(f"{f!r} is not a face of the table for n={self.n}")
-        return fid
+        if f.n == self.n:
+            try:
+                return self.id_of_word(f.word)
+            except KeyError:
+                pass
+        raise ValueError(f"{f!r} is not a face of the table for n={self.n}")
 
     def cover_incidence(self) -> tuple[array, array]:
         """(offsets, lowers): face i covers ``lowers[offsets[i]:offsets[i + 1]]``.
@@ -119,11 +132,11 @@ class FaceTable:
         offsets, lowers = self.cover_incidence()
         return lowers[offsets[fid]:offsets[fid + 1]]
 
-    def ids_by_dim(self) -> dict[int, list[int]]:
-        """Face ids by dimension, the int objects ``id_of_word`` holds."""
+    def ids_by_dim(self) -> dict[int, array]:
+        """Face ids by dimension, one ``array('i')`` each, read off ``bars``."""
         if self._ids_by_dim is None:
-            out: dict[int, list[int]] = {d: [] for d in range(-1, self.n - 1)}
-            for b, i in zip(self.bars, self.id_of_word.values()):
+            out = {d: array("i") for d in range(-1, self.n - 1)}
+            for i, b in enumerate(self.bars):
                 out[b - 1].append(i)
             self._ids_by_dim = out
         return self._ids_by_dim
@@ -140,29 +153,33 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     head, tail = b"\0", bytes([n + 1])
     words = [head + bytes(core) + tail for core in itertools.permutations(range(1, n + 1))]
     bars = bytes(sum(map(gt, w, w[1:])) for w in words)
-    return FaceTable(n, words, dict(zip(words, range(len(words)))), bars)
+    return FaceTable(n, words, bars)
 
 
 def covers_down(table: FaceTable, word: bytes) -> tuple[int, ...]:
     """The ids of the faces covered by the face of ``word``, in bar order:
     entry i erases bar i.
 
-    Erasing a bar is ``perms.erase_bar``; the word it gives is looked up in
-    ``id_of_word``.  Raises AssertionError, naming the face, unless each face
-    found there has one bar fewer in ``bars`` (one block fewer) than this
-    face has there, and this face covers as many faces as its bar count.
+    Erasing a bar is ``perms.erase_bar``, and ``table.id_of_word`` finds the
+    word it gives.  Raises KeyError unless ``word`` is a face of the table,
+    and AssertionError, naming the face, unless each word found there is a
+    face with one bar fewer in ``bars`` (one block fewer) than this face has
+    there, and this face covers as many faces as its bar count.
 
     >>> t = enumerate_faces(3)
     >>> covers_down(t, t.words[5])
     (3, 4)
     """
-    ids, bars = table.id_of_word, table.bars
-    fid = ids[word]
+    id_of_word, bars = table.id_of_word, table.bars
+    fid = id_of_word(word)
     below = bars[fid] - 1
     cuts = run_cuts(word)
     lowers = []
     for bar in range(len(cuts) - 2):
-        lower = ids[erase_bar(word, cuts, bar)]
+        try:
+            lower = id_of_word(erase_bar(word, cuts, bar))
+        except KeyError:
+            raise AssertionError(f"face {fid}: erasing bar {bar} gives no face of the table") from None
         if bars[lower] != below:
             raise AssertionError(
                 f"erasing bar {bar} of face {fid} ({below + 1} bars) gives face {lower} "
@@ -198,10 +215,7 @@ def f_vector(table: FaceTable) -> tuple[int, ...]:
     >>> f_vector(enumerate_faces(3))
     (1, 4, 1)
     """
-    counts = [0] * table.n
-    for b in table.bars:
-        counts[b] += 1
-    return tuple(counts)
+    return tuple(map(len, table.ids_by_dim().values()))
 
 
 def euler_characteristic(table: FaceTable) -> int:

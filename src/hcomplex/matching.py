@@ -155,9 +155,9 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
 
 def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
     """The partner ids of faces lo..hi-1, -1 for a critical face."""
-    n, ids = table.n, table.id_of_word
+    n, id_of_word = table.n, table.id_of_word
     found = (partner(BarredFace.from_word(n, w)) for w in islice(table.words, lo, hi))
-    return array("i", (-1 if g is None else ids[g.word] for g in found))
+    return array("i", (-1 if g is None else id_of_word(g.word) for g in found))
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:

@@ -109,24 +109,51 @@ def test_bar_counts_all_one_too_high_are_caught_at_face_0():
     # every face then expects its covers one bar higher too, so only the
     # cover count of face 0 (no bars, no covers) disagrees
     t = enumerate_faces(4)
-    bad = FaceTable(4, t.words, t.id_of_word, bytes(b + 1 for b in t.bars))
+    bad = FaceTable(4, t.words, bytes(b + 1 for b in t.bars))
     with pytest.raises(AssertionError, match=r"face 0 covers 0 faces, but bars\[0\] is 1"):
         bad.cover_incidence()
 
 
 def test_covers_down_rejects_a_table_with_swapped_faces():
-    # two words trade ids while the bar counts stay where they were
+    # two words trade ids while the bar counts stay where they were: the
+    # words leave lex order, and bisection misses face 1's
     t = enumerate_faces(4)
     words = list(t.words)
     top = len(words) - 1
     assert t.bars[1] == 1 and t.bars[top] == 3
     words[1], words[top] = words[top], words[1]
-    bad = FaceTable(4, words, {w: i for i, w in enumerate(words)}, t.bars)
-    with pytest.raises(AssertionError, match="one block fewer"):
+    bad = FaceTable(4, words, t.bars)
+    with pytest.raises(AssertionError, match="out of lex order: bisection misses face 1$"):
         for w in bad.words:
             covers_down(bad, w)
-    with pytest.raises(AssertionError, match="one block fewer"):
+    with pytest.raises(AssertionError, match="out of lex order: bisection misses face 1$"):
         bad.cover_incidence()
+    # two bar counts trade places while the words stay where they were
+    bars = bytearray(t.bars)
+    bars[1], bars[top] = bars[top], bars[1]
+    bad = FaceTable(4, t.words, bytes(bars))
+    with pytest.raises(AssertionError, match="face 1 .* gives face 0 .* one block fewer"):
+        for w in bad.words:
+            covers_down(bad, w)
+    with pytest.raises(AssertionError, match="face 1 .* gives face 0 .* one block fewer"):
+        bad.cover_incidence()
+
+
+def test_covers_down_names_the_face_whose_cover_the_table_does_not_list():
+    t = enumerate_faces(4)
+    with pytest.raises(KeyError):
+        covers_down(t, bytes([0, 4, 1, 5]))  # not a face of the table
+    # face 1's word is replaced by a non-face that keeps the list in lex order
+    words = list(t.words)
+    face_1, words[1] = words[1], words[1][:-1] + b"\6"
+    assert words == sorted(words)
+    bad = FaceTable(4, words, t.bars)
+    with pytest.raises(KeyError):
+        bad.id_of_word(face_1)
+    upper = next(w for w in bad.words[2:] if 1 in covers_down(t, w))
+    fid = bad.id_of_word(upper)
+    with pytest.raises(AssertionError, match=rf"face {fid}: erasing bar \d gives no face"):
+        covers_down(bad, upper)
 
 
 def test_faces_view_builds_each_face_from_its_word(table):

@@ -262,8 +262,7 @@ def projective_plane():
     covers = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] for s in cells]
     incidence = array("i", [0, *accumulate(map(len, covers))]), array("i", chain(*covers))
     bars = bytes(map(len, cells))  # a simplex with d + 1 vertices has dimension d
-    by_dim = {d: [i for i, s in enumerate(cells) if len(s) == d + 1] for d in range(-1, 3)}
-    return FaceTable(4, [], {}, bars, _incidence=incidence, _ids_by_dim=by_dim)
+    return FaceTable(4, [], bars, _incidence=incidence)
 
 
 def test_clearing_keeps_torsion_on_the_projective_plane():

@@ -442,7 +442,7 @@ def test_dual_matching_equals_complement_conjugated_primal(table, matching):
     for n in range(1, 8):
         t = table(n)
         comp = {
-            fid: t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))]
+            fid: t.id_of_word(bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1)))
             for fid, f in enumerate(map(t.face, range(len(t))))
         }
         primal, dual = matching(n).pairs, matching(n, True).pairs
@@ -454,7 +454,7 @@ def test_complement_reverses_face_ids(table):
         t = table(n)
         last = len(t) - 1
         for fid, f in enumerate(map(t.face, range(len(t)))):
-            assert t.id_of_word[bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))] == last - fid
+            assert t.id_of_word(bytes((0, *(n + 1 - x for x in f.word[1:-1]), n + 1))) == last - fid
 
 
 def test_build_matching_diagnoses_each_face_once(monkeypatch):
@@ -491,11 +491,15 @@ def test_verifier_diagnoses_the_side_it_is_told(table, matching):
 
 
 def test_primal_verifier_diagnoses_the_faces_it_is_given():
-    # no word lookup on either side: an emptied index leaves both working
+    # no word lookup on either side: a lookup that raises leaves both working
     t = enumerate_faces(5)
     primal, dual = build_matching(t), build_matching(t, dual=True)
     t.cover_incidence()
-    t.id_of_word = {}
+
+    def no_lookup(word):
+        raise AssertionError(f"looked up {word!r}")
+
+    t.id_of_word = no_lookup
     assert verify_well_defined(t, primal).ok
     assert verify_well_defined(t, dual).ok
 

@@ -1,8 +1,8 @@
 """The face table is flat, and the Smith forms eliminate in place.
 
-The index is keyed by the bytes words the table lists, the cover incidence
-is two ``array('i')``, and the per-dimension id lists reuse the index's int
-objects.  Tracemalloc bounds guard the footprint of the table and the peak
+The lex-sorted bytes words the table lists are its only index, the cover
+incidence is two ``array('i')``, and so is each per-dimension id list.
+Tracemalloc bounds guard the footprint of the table and the peak
 of the eliminations, and a report row loads no hashing library.
 """
 
@@ -11,15 +11,18 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from itertools import chain
+
+import pytest
 
 from hcomplex.complexes import enumerate_faces
 from hcomplex.homology import invariant_factors
 
-# enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 136 B per
+# enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 80 B per
 # face under tracemalloc (Python 3.11, 64-bit Linux); the bound allows 15%.
-# A BarredFace and a word tuple per face with one tuple of lower ids each
-# read 310 B.
-BYTES_PER_FACE_N7 = 156
+# A dict from words to ids on top read 143 B, and a BarredFace and a word
+# tuple per face with one tuple of lower ids each read 310 B.
+BYTES_PER_FACE_N7 = 92
 
 # invariant_factors(t, 0) on enumerate_faces(7), incidence and id lists
 # already built, peaked at 0.70 MB under tracemalloc (Python 3.11, 64-bit
@@ -30,20 +33,24 @@ INVARIANTS_PEAK_N7 = 804_000
 
 def test_index_keys_are_the_face_words():
     t = enumerate_faces(6)
-    assert len(t.id_of_word) == len(t.words) == len(t.bars) == len(t)
-    for (word, fid), listed in zip(t.id_of_word.items(), t.words):
-        assert type(word) is bytes
-        assert word is listed and t.words[fid] is word
+    assert len(t.words) == len(t.bars) == len(t)
+    assert all(type(word) is bytes for word in t.words)
+    assert all(map(bytes.__lt__, t.words, t.words[1:]))
+    assert [t.id_of_word(word) for word in t.words] == list(range(len(t)))
+    for miss in (b"", b"\0\1\2\3\4\5\6", b"\0\6\5\4\3\2\1\7\0", b"\7"):
+        with pytest.raises(KeyError):
+            t.id_of_word(miss)
 
 
-def test_incidence_is_flat_and_dims_share_the_index_ints():
+def test_incidence_is_flat_and_dims_partition_the_ids():
     t = enumerate_faces(6)
-    ids = list(t.id_of_word.values())
     offsets, lowers = t.cover_incidence()
     assert type(offsets) is array and type(lowers) is array
     assert len(offsets) == len(t) + 1
-    for dim_ids in t.ids_by_dim().values():
-        assert all(fid is ids[fid] for fid in dim_ids)
+    by_dim = t.ids_by_dim()
+    assert all(type(dim_ids) is array for dim_ids in by_dim.values())
+    assert sorted(chain.from_iterable(by_dim.values())) == list(range(len(t)))
+    assert all(t.bars[fid] == d + 1 for d, dim_ids in by_dim.items() for fid in dim_ids)
 
 
 def test_a_report_row_loads_no_hashing_library(subprocess_env):

@@ -71,13 +71,13 @@ def _swapped_table():
     t = enumerate_faces(4)
     words = list(t.words)
     words[12], words[23] = words[23], words[12]
-    return FaceTable(4, words, {w: i for i, w in enumerate(words)}, t.bars)
+    return FaceTable(4, words, t.bars)
 
 
 def test_an_exception_in_the_worker_is_raised_again_in_the_parent(worker_on, monkeypatch):
     bad = _swapped_table()
     bad._cover_span(0, len(bad) // 2)  # this process's half is clean
-    with pytest.raises(AssertionError, match="one block fewer") as forked:
+    with pytest.raises(AssertionError, match="out of lex order") as forked:
         bad.cover_incidence()
     _no_child_left()
     monkeypatch.setattr(workers, "cpu_count", lambda: 1)
@@ -91,7 +91,7 @@ def _one_bar_count_off(fid):
     t = enumerate_faces(5)
     bars = bytearray(t.bars)
     bars[fid] += 1
-    return FaceTable(5, t.words, t.id_of_word, bytes(bars))
+    return FaceTable(5, t.words, bytes(bars))
 
 
 @pytest.mark.parametrize("fid", [0, 1, 59, 60, 100, 119])
