@@ -123,8 +123,8 @@ class FaceTable:
         raises AssertionError naming a face whose cover count is not its bar
         count, which would shift every offset after it."""
         lowers = array("i")
-        for word in itertools.islice(self.words, lo, hi):
-            lowers.extend(covers_down(self, word))
+        for fid in range(lo, hi):
+            lowers.extend(covers_down(self, fid))
         return lowers
 
     def lowers(self, fid: int) -> array:
@@ -156,22 +156,20 @@ def enumerate_faces(n: int, max_n: int | None = ENUM_CEILING) -> FaceTable:
     return FaceTable(n, words, bars)
 
 
-def covers_down(table: FaceTable, word: bytes) -> tuple[int, ...]:
-    """The ids of the faces covered by the face of ``word``, in bar order:
-    entry i erases bar i.
+def covers_down(table: FaceTable, fid: int) -> tuple[int, ...]:
+    """The ids of the faces covered by face ``fid``, in bar order: entry i
+    erases bar i.
 
-    Erasing a bar is ``perms.erase_bar``, and ``table.id_of_word`` finds the
-    word it gives.  Raises KeyError unless ``word`` is a face of the table,
-    and AssertionError, naming the face, unless each word found there is a
-    face with one bar fewer in ``bars`` (one block fewer) than this face has
-    there, and this face covers as many faces as its bar count.
+    Erasing a bar of ``table.words[fid]`` is ``perms.erase_bar``, and
+    ``table.id_of_word`` finds the word it gives.  Raises AssertionError,
+    naming the face, unless each word found there is a face with one bar
+    fewer in ``bars`` (one block fewer) than this face has there, and this
+    face covers as many faces as its bar count.
 
-    >>> t = enumerate_faces(3)
-    >>> covers_down(t, t.words[5])
+    >>> covers_down(enumerate_faces(3), 5)
     (3, 4)
     """
-    id_of_word, bars = table.id_of_word, table.bars
-    fid = id_of_word(word)
+    id_of_word, bars, word = table.id_of_word, table.bars, table.words[fid]
     below = bars[fid] - 1
     cuts = run_cuts(word)
     lowers = []

@@ -5,12 +5,13 @@ and verified, both Morse digraphs certified acyclic, Morse numbers checked
 against the vanishing thresholds, homology computed, both sides' Morse
 numbers checked to bound the Betti numbers, Betti symmetry checked,
 and every admissible cycle witness for that n verified against the full face
-table.  Homology costs one Smith form per boundary: through n = 7 the
-non-vanishing dimensions are read over Z, beyond it from the ranks over Q
-and F2, F3, F5, all counted off the same invariant factors.  The verdict is
-PASS only if all of it holds and the observed non-vanishing dimensions equal
-the predicted middle third.  Every row is computed afresh; nothing is read
-from or written to disk.
+table.  Homology costs one Smith form per boundary and one Betti table over
+Z per row, whose free ranks the Morse inequalities and the symmetry check
+read: through n = 7 the non-vanishing dimensions are read off it, beyond it
+from the ranks over Q and F2, F3, F5, all counted off the same invariant
+factors.  The verdict is PASS only if all of it holds and the observed
+non-vanishing dimensions equal the predicted middle third.  Every row is
+computed afresh; nothing is read from or written to disk.
 
 From n = 7 on (``workers.MIN_FACES`` faces), on a machine that lets this
 process run on two CPUs and has ``os.fork``, a row uses two processes and
@@ -186,12 +187,8 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
         nonlocal primal_matching
         primal = check_matching_side(table, primal_matching)
         primal_matching = None  # not held through the Smith forms
-        if n <= 7:
-            bt = betti_table(table, "Z")
-            observed = bt.nonzero_dims()
-        else:
-            bt = betti_table(table, "Q")
-            observed = nonzero_dims_via_ranks(table)
+        bt = betti_table(table, "Z")
+        observed = bt.nonzero_dims() if n <= 7 else nonzero_dims_via_ranks(table)
         witness_ok = all(
             verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
         )

@@ -6,9 +6,11 @@ consumes its argument.  It clears one pivot at a time, chosen greedily from
 the shortest rows with a fill-minimizing column (Markowitz-style).  Only
 pivots of absolute value 1 are used, so all arithmetic stays integral; rows
 that run out of unit entries are set aside and the survivors form a small
-residual, finished by a dense reduction.  That reduction does not bound
-coefficient growth, so it refuses a residual of more than
-``DENSE_CELL_LIMIT`` cells with a ValueError.
+residual with no unit entry, finished on dense rows by gcd steps (integer
+division by an entry of least absolute value, then gcd and lcm to make the
+diagonal a divisibility chain).  That finish does not bound coefficient
+growth, so it refuses a residual of more than ``DENSE_CELL_LIMIT`` cells
+with a ValueError.
 
 Clearing a pivot's column by row operations leaves that column with a single
 non-zero, so dropping the pivot row and column afterwards is a unimodular
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 Rows = dict[int, dict[int, int]]
 
@@ -115,79 +118,44 @@ class _Eliminator:
 
 
 def _dense_snf(rows: Rows) -> list[int]:
-    """Invariant factors of a small integer matrix, by direct reduction."""
-    if not rows:
-        return []
+    """Invariant factors of a small residual, by gcd steps on dense rows.
+
+    The entry p of least absolute value clears its column by row operations
+    and its row by column operations, each by integer division.  If that
+    leaves p alone, |p| is recorded and its row and column are deleted;
+    otherwise the next pivot is the least entry again, at most a remainder.
+    Each remainder is smaller than its pivot, so this ends.  Pairwise gcd
+    and lcm then turn the recorded diagonal into a divisibility chain.
+    """
     col_ids = sorted({j for row in rows.values() for j in row})
     if len(rows) * len(col_ids) > DENSE_CELL_LIMIT:
         shape = f"{len(rows)} x {len(col_ids)}"
         raise ValueError(f"residual {shape} exceeds the dense limit of {DENSE_CELL_LIMIT} cells")
-    cmap = {j: k for k, j in enumerate(col_ids)}
-    m = [[0] * len(col_ids) for _ in rows]
-    for k, row in enumerate(rows.values()):
-        for j, v in row.items():
-            m[k][cmap[j]] = v
-    return _snf_kernel(m)
-
-
-def _snf_kernel(m: list[list[int]]) -> list[int]:
-    rows, cols = len(m), len(m[0])
-    invariants: list[int] = []
-    t = 0
-    while True:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
+    m = [[row.get(j, 0) for j in col_ids] for row in rows.values()]
+    diagonal: list[int] = []
+    while cells := [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]:
+        _, i, j = min(cells)
+        prow = m[i]
+        p = prow[j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                q = row[j] // p
+                m[k] = [a - q * b for a, b in zip(row, prow)]
+        qs = [(c, v // p) for c, v in enumerate(prow) if v and c != j]
         for row in m:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            piv = m[t][t]
-            redo = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // piv
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    if m[i][t]:  # remainder strictly smaller than the pivot
-                        m[t], m[i] = m[i], m[t]
-                        redo = True
-                        break
-            if redo:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // piv
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        redo = True
-                        break
-            if not redo:
-                break
-        piv = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            if any(v % piv for v in m[i][t + 1:]):
-                offender = i
-                break
-        if offender is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue  # pivot search restarts; gcd strictly divides down
-        invariants.append(abs(piv))
-        t += 1
-        if t == rows or t == cols:
-            break
-    return invariants
+            if x := row[j]:
+                for c, q in qs:
+                    row[c] -= q * x
+        if prow.count(0) == len(prow) - 1 and sum(1 for row in m if row[j]) == 1:
+            diagonal.append(abs(p))
+            del m[i]
+            for row in m:
+                del row[j]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] * diagonal[b] // g
+    return diagonal
 
 
 def smith_normal_form(rows: Rows, pivots: list[int] | None = None) -> tuple[int, ...]:

@@ -78,7 +78,7 @@ def test_covers_down_matches_chain_deletion(table):
         t = table(n)
         for fid, f in enumerate(map(t.face, range(len(t)))):
             chain = f.chain()
-            lowers = covers_down(t, t.words[fid])
+            lowers = covers_down(t, fid)
             assert len(lowers) == len(chain)
             assert tuple(t.lowers(fid)) == lowers
             for bar, lower in enumerate(lowers):
@@ -93,8 +93,8 @@ def test_cover_incidence_is_covers_down_in_bar_order(table):
         assert (offsets.typecode, lowers.typecode) == ("i", "i")
         assert len(offsets) == len(t) + 1 and offsets[0] == 0
         assert offsets[-1] == len(lowers) == sum(t.bars)
-        for fid, word in enumerate(t.words):
-            assert t.lowers(fid) == array("i", covers_down(t, word))
+        for fid in range(len(t)):
+            assert t.lowers(fid) == array("i", covers_down(t, fid))
 
 
 def test_faces_carry_the_table_words_and_offsets_come_from_bars(table):
@@ -115,34 +115,34 @@ def test_bar_counts_all_one_too_high_are_caught_at_face_0():
 
 
 def test_covers_down_rejects_a_table_with_swapped_faces():
-    # two words trade ids while the bar counts stay where they were: the
-    # words leave lex order, and bisection misses face 1's
+    # two words trade ids while the bar counts stay where they were: face 1
+    # now holds the top word, whose first cover has two bars, not none
     t = enumerate_faces(4)
     words = list(t.words)
     top = len(words) - 1
     assert t.bars[1] == 1 and t.bars[top] == 3
     words[1], words[top] = words[top], words[1]
     bad = FaceTable(4, words, t.bars)
-    with pytest.raises(AssertionError, match="out of lex order: bisection misses face 1$"):
-        for w in bad.words:
-            covers_down(bad, w)
-    with pytest.raises(AssertionError, match="out of lex order: bisection misses face 1$"):
+    message = (r"^erasing bar 0 of face 1 \(1 bars\) gives face 17 with 2 bars, "
+               "not a face with one block fewer$")
+    with pytest.raises(AssertionError, match=message):
+        for fid in range(len(bad)):
+            covers_down(bad, fid)
+    with pytest.raises(AssertionError, match=message):
         bad.cover_incidence()
     # two bar counts trade places while the words stay where they were
     bars = bytearray(t.bars)
     bars[1], bars[top] = bars[top], bars[1]
     bad = FaceTable(4, t.words, bytes(bars))
     with pytest.raises(AssertionError, match="face 1 .* gives face 0 .* one block fewer"):
-        for w in bad.words:
-            covers_down(bad, w)
+        for fid in range(len(bad)):
+            covers_down(bad, fid)
     with pytest.raises(AssertionError, match="face 1 .* gives face 0 .* one block fewer"):
         bad.cover_incidence()
 
 
 def test_covers_down_names_the_face_whose_cover_the_table_does_not_list():
     t = enumerate_faces(4)
-    with pytest.raises(KeyError):
-        covers_down(t, bytes([0, 4, 1, 5]))  # not a face of the table
     # face 1's word is replaced by a non-face that keeps the list in lex order
     words = list(t.words)
     face_1, words[1] = words[1], words[1][:-1] + b"\6"
@@ -150,10 +150,9 @@ def test_covers_down_names_the_face_whose_cover_the_table_does_not_list():
     bad = FaceTable(4, words, t.bars)
     with pytest.raises(KeyError):
         bad.id_of_word(face_1)
-    upper = next(w for w in bad.words[2:] if 1 in covers_down(t, w))
-    fid = bad.id_of_word(upper)
+    fid = next(f for f in range(2, len(t)) if 1 in covers_down(t, f))
     with pytest.raises(AssertionError, match=rf"face {fid}: erasing bar \d gives no face"):
-        covers_down(bad, upper)
+        covers_down(bad, fid)
 
 
 def test_faces_view_builds_each_face_from_its_word(table):

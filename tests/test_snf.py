@@ -194,6 +194,57 @@ def test_elimination_runs_in_the_rows_it_is_given():
     assert rows == {1: {1: -2}}
 
 
+def test_frozen_gcd_step_finishes():
+    # no unit entry, so each whole matrix reaches the finish: the gcd and lcm
+    # chain of a diagonal, and a negative pivot of least absolute value
+    for dense, expected in [
+        ([[6, 0], [0, 10]], (2, 30)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 9]], (1, 6, 36)),
+        ([[-4, 6], [6, -9]], (1,)),
+    ]:
+        pivots = []
+        assert smith_normal_form(rows_from_dense(dense), pivots) == expected
+        assert pivots == []
+
+
+def test_seeded_residuals_without_a_unit_match_sympy():
+    # larger than the matrices hypothesis tries, and with no unit entry, so
+    # the unit-pivot elimination passes them whole to the gcd-step finish;
+    # the sparser ones have several factors above 1 to put in a chain
+    rng = random.Random(22)
+    nonzero = (2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -10)
+    for _ in range(40):
+        rows, cols = rng.randint(7, 12), rng.randint(7, 12)
+        entries = (0,) * rng.randint(3, 20) + nonzero
+        dense = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        pivots = []
+        ours = smith_normal_form(rows_from_dense(dense), pivots)
+        assert pivots == []
+        assert ours == tuple(abs(d) for d in sympy_invariants(dense))
+        assert all(b % a == 0 for a, b in zip(ours, ours[1:]))
+
+
+def test_report_rows_never_reach_the_gcd_step_finish(monkeypatch):
+    # every Smith form of the conjecture rows n <= 8 has as many unit pivots
+    # as factors, so the finish gets an empty residual: the report's timing
+    # does not depend on it
+    from hcomplex import homology
+    from hcomplex.complexes import enumerate_faces
+
+    counts = []
+
+    def counted(rows, pivots):
+        factors = smith_normal_form(rows, pivots)
+        counts.append((len(pivots), len(factors)))
+        return factors
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    for n in range(1, 9):
+        homology.invariant_factors(enumerate_faces(n), 0)
+    assert len(counts) == 28  # one Smith form per boundary, d = 0..n-2
+    assert all(units == factors for units, factors in counts)
+
+
 def test_dense_fallback_refuses_a_large_residual():
     # no unit pivot, so the whole 101 x 100 matrix reaches the dense reduction
     with pytest.raises(ValueError, match="101 x 100"):

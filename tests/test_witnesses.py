@@ -146,6 +146,6 @@ def test_unit_free_face_blocks_boundary_status(table):
     t = table(5)
     f = free_face(5, 1)
     fid = t.id_of_face(f)
-    for g in map(t.face, range(len(t))):
-        if g.dim == f.dim + 1:
-            assert fid not in covers_down(t, bytes(g.word))
+    for gid in range(len(t)):
+        if t.bars[gid] == f.dim + 2:
+            assert fid not in covers_down(t, gid)
