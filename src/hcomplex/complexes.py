@@ -20,7 +20,9 @@ covers ``bars[i]`` faces, and the ids of the faces each face covers, one
 ``covers_down`` call per face, in bar order.  ``lowers(fid)`` is one face's
 slice.  No ``BarredFace`` is stored: ``face(i)`` builds one around its
 stored word when it is read, so ``face(i).word is words[i]``.  The Morse
-digraphs, the free-face test and the boundaries read the incidence.
+digraphs, the free-face test and the boundaries read the incidence, and
+the Smith forms read nothing else, so ``release_words`` lets a table go of
+its words before them.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class FaceTable:
     """
 
     n: int
-    words: list[bytes]
+    words: list[bytes] | None
     bars: bytes
     _incidence: tuple[array, array] | None = field(default=None, repr=False)
     _partners: array | None = field(default=None, repr=False)
@@ -75,17 +77,30 @@ class FaceTable:
     _invariants: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.bars)
+
+    def _words(self) -> list[bytes]:
+        if self.words is None:
+            raise ValueError(f"the words of the face table for n={self.n} were released")
+        return self.words
+
+    def release_words(self) -> None:
+        """Let go of ``words`` and of the partner ids memoized off them, which
+        the Smith forms never read.  The size, ``bars``, the incidence,
+        ``ids_by_dim`` and the factor memo stay; ``face`` and ``id_of_word``
+        raise ValueError from then on."""
+        self.words = None
+        self._partners = None
 
     def face(self, i: int) -> BarredFace:
         """Face i, built around its stored word by ``BarredFace.from_word``,
         so a corrupted word raises ValueError when its face is read."""
-        return BarredFace.from_word(self.n, self.words[i])
+        return BarredFace.from_word(self.n, self._words()[i])
 
     def id_of_word(self, word: bytes) -> int:
         """The id of the face of ``word``, its lex rank, by bisection: KeyError
         unless ``words`` lists it, AssertionError if bisection misses it there."""
-        words = self.words
+        words = self._words()
         i = bisect_left(words, word)
         if i < len(words) and words[i] == word:
             return i

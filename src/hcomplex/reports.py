@@ -17,12 +17,14 @@ From n = 7 on (``workers.MIN_FACES`` faces), on a machine that lets this
 process run on two CPUs and has ``os.fork``, a row uses two processes and
 at most one worker at a time.  The upper half of the cover incidence and of
 the primal partner ids are computed in a worker while this process computes
-the lower half.  Then, with both matchings built, a worker checks the dual
-side while this process checks the primal side, computes the homology and
-verifies the witnesses; the worker returns only the small ``MatchingSide``.
-Every other row, and every row on a machine without a second CPU, runs in
-process.  The results are the same either way, and a worker that fails
-raises in this process, so it can never turn into a PASS.
+the lower half.  Then a worker checks the primal side, lets go of the words
+of a table the row built itself and computes the invariant factors, while
+this process checks the dual side and verifies the witnesses; the worker
+returns only its ``MatchingSide`` and the factor memo, which this process
+reads the Betti numbers off.  Every other row, and every row on a machine
+without a second CPU, runs in process, the worker's half last.  The results
+are the same either way, and a worker that fails raises in this process, so
+it can never turn into a PASS.
 
 All payload builders emit deterministically ordered structures, so identical
 inputs give byte-identical serializations.
@@ -40,6 +42,7 @@ from .homology import (
     betti_table,
     check_betti_symmetry,
     expected_nonzero_dims,
+    invariant_factors,
     nonzero_dims_via_ranks,
 )
 from .matching import MatchingMap, build_matching, check_table, verify_well_defined
@@ -176,28 +179,27 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
                   dual_morse_ok=True, acyclic_ok=True, symmetry_ok=True,
                   witness_ok=True)
     """
+    release = table is None  # only a table the row built itself
     if table is None:
         table = enumerate_faces(n, max_n=n)
     elif table.n != n:
         raise ValueError(f"conjecture_row(n={n}) was given a face table for n={table.n}")
     table.cover_incidence()  # before the worker forks: both sides read it
-    primal_matching = build_matching(table)
 
     def here():
-        nonlocal primal_matching
-        primal = check_matching_side(table, primal_matching)
-        primal_matching = None  # not held through the Smith forms
-        bt = betti_table(table, "Z")
-        observed = bt.nonzero_dims() if n <= 7 else nonzero_dims_via_ranks(table)
+        dual = check_matching_side(table, build_matching(table, dual=True))
         witness_ok = all(
             verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
         )
-        return primal, bt, observed, witness_ok
+        return dual, witness_ok
 
-    (primal, bt, observed, witness_ok), dual = workers.both(
-        "dual matching side", len(table), here,
-        partial(check_matching_side, table, build_matching(table, dual=True)),
+    (dual, witness_ok), (primal, factors) = workers.both(
+        "primal matching side and Smith forms", len(table), here,
+        partial(_primal_side_and_factors, table, build_matching(table), release),
     )
+    table._invariants = factors  # the worker's memo, or the same dict in process
+    bt = betti_table(table, "Z")
+    observed = bt.nonzero_dims() if n <= 7 else nonzero_dims_via_ranks(table)
     primal_ok, dual_ok = (
         not side.violations and morse_inequalities(side.numbers, bt.betti).ok
         for side in (primal, dual)
@@ -212,6 +214,19 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
         check_betti_symmetry(bt),
         witness_ok,
     )
+
+
+def _primal_side_and_factors(table: FaceTable, matching: MatchingMap, release: bool) -> tuple:
+    """The primal side checked, then the factor memo of every boundary; with
+    ``release``, the words, the partner memo and the partner ids of
+    ``matching`` (emptied in place: the caller's ``partial`` holds it) go
+    first, as the Smith forms read none of them."""
+    primal = check_matching_side(table, matching)
+    if release:
+        table.release_words()
+        del matching.partners[:]
+    invariant_factors(table, 0)
+    return primal, table._invariants
 
 
 def conjecture_payload(report: ConjectureReport) -> dict:

@@ -163,15 +163,17 @@ def test_cli_worker_that_dies_is_a_resource_error(capsys, monkeypatch):
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     check_matching_side = reports.check_matching_side
 
-    def dies_on_the_dual_side(table, matching, digest=False):
-        if matching.dual and workers._in_worker:
+    def dies_on_the_primal_side(table, matching, digest=False):
+        if not matching.dual and workers._in_worker:
             os._exit(3)
         return check_matching_side(table, matching, digest)
 
-    monkeypatch.setattr(reports, "check_matching_side", dies_on_the_dual_side)
+    monkeypatch.setattr(reports, "check_matching_side", dies_on_the_primal_side)
     assert main(["report", "--n-max", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: dual matching side: the worker exited with code 3"), err
+    assert err.startswith(
+        "error: primal matching side and Smith forms: the worker exited with code 3"
+    ), err
 
 
 def test_cli_witness_beyond_the_byte_limit_exits_2_before_any_term(capsys, monkeypatch):

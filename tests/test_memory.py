@@ -3,7 +3,9 @@
 The lex-sorted bytes words the table lists are its only index, the cover
 incidence is two ``array('i')``, and so is each per-dimension id list.
 Tracemalloc bounds guard the footprint of the table and the peak
-of the eliminations, and a report row loads no hashing library.
+of the eliminations, and a report row loads no hashing library.  A table
+that has released its words keeps all the Smith forms read, and fails
+loudly where a word is asked for.
 """
 
 import math
@@ -93,3 +95,31 @@ def test_smith_forms_peak_n7():
     finally:
         tracemalloc.stop()
     assert peak <= INVARIANTS_PEAK_N7, f"peak {peak} B"
+
+
+def test_a_released_table_keeps_its_size_and_refuses_its_words():
+    t = enumerate_faces(5)
+    incidence = t.cover_incidence()
+    by_dim = t.ids_by_dim()
+    factors = invariant_factors(t, 1)
+    word = t.words[7]
+    t.release_words()
+    assert t.words is None and t._partners is None
+    assert len(t) == 120
+    assert t.cover_incidence() is incidence and t.ids_by_dim() is by_dim
+    assert invariant_factors(t, 1) is factors
+    with pytest.raises(ValueError, match=r"^the words of the face table for n=5 were released$"):
+        t.face(7)
+    with pytest.raises(ValueError, match="were released"):
+        t.id_of_word(word)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_released_table_has_the_invariant_factors_of_a_whole_one(n, table):
+    released = enumerate_faces(n)
+    released.cover_incidence()
+    released.release_words()
+    dims = range(-1, n)
+    assert [invariant_factors(released, d) for d in dims] == [
+        invariant_factors(table(n), d) for d in dims
+    ]

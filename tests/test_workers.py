@@ -2,7 +2,9 @@
 reach the parent, and no child left behind.
 
 The worker is forced on by lowering ``workers.MIN_FACES`` to one face and
-reporting two CPUs, and forced off by reporting one CPU.
+reporting two CPUs, and forced off by reporting one CPU.  A row's Smith
+forms run without the words of a table the row built itself, and a table
+passed in keeps its words, with the worker and without it.
 """
 
 import os
@@ -12,7 +14,7 @@ import time
 
 import pytest
 
-from hcomplex import workers
+from hcomplex import reports, workers
 from hcomplex.complexes import FaceTable, enumerate_faces
 from hcomplex.matching import build_matching
 from hcomplex.reports import conjecture_row
@@ -23,6 +25,12 @@ from hcomplex.witnesses import admissible_pairs, verify_witness, witness_payload
 def worker_on(monkeypatch):
     monkeypatch.setattr(workers, "MIN_FACES", 1)
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def worker_off(monkeypatch):
+    monkeypatch.setattr(workers, "MIN_FACES", 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
 
 
 def _refuse_fork():
@@ -55,6 +63,37 @@ def test_worker_on_and_off_give_the_same_results(n, monkeypatch):
     assert workers.worth_a_worker(1)
     assert _results(n) == off
     assert off[3].verdict == "PASS"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("worker", ["worker_on", "worker_off"])
+def test_a_row_runs_its_smith_forms_on_its_own_table_without_words(
+    worker, request, monkeypatch, tmp_path
+):
+    request.getfixturevalue(worker)
+    seen = tmp_path / "seen"
+    real = reports.invariant_factors
+
+    def spy(table, dim):
+        with open(seen, "a") as out:  # a file, so the worker's calls show here too
+            out.write(f"words {table.words} in worker {workers._in_worker}\n")
+        return real(table, dim)
+
+    monkeypatch.setattr(reports, "invariant_factors", spy)
+    assert conjecture_row(5).verdict == "PASS"
+    assert seen.read_text() == f"words None in worker {worker == 'worker_on'}\n"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("worker", ["worker_on", "worker_off"])
+def test_a_table_passed_to_a_row_keeps_every_word(worker, request):
+    request.getfixturevalue(worker)
+    t = enumerate_faces(6)
+    words = list(t.words)
+    assert conjecture_row(6, table=t).verdict == "PASS"
+    assert t.words == words and t._partners is not None
+    whole = enumerate_faces(6)
+    assert t._invariants == {d: reports.invariant_factors(whole, d) for d in range(5)}
     _no_child_left()
 
 
