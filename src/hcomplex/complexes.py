@@ -86,9 +86,9 @@ class FaceTable:
 
     def release_words(self) -> None:
         """Let go of ``words`` and of the partner ids memoized off them, which
-        the Smith forms never read.  The size, ``bars``, the incidence,
-        ``ids_by_dim`` and the factor memo stay; ``face`` and ``id_of_word``
-        raise ValueError from then on."""
+        the Smith forms never read.  ``len``, ``bars``, ``f_vector``, an
+        incidence built before, ``ids_by_dim``, the boundaries and the factor
+        memo still work; every reader of a word raises ValueError."""
         self.words = None
         self._partners = None
 
@@ -184,7 +184,7 @@ def covers_down(table: FaceTable, fid: int) -> tuple[int, ...]:
     >>> covers_down(enumerate_faces(3), 5)
     (3, 4)
     """
-    id_of_word, bars, word = table.id_of_word, table.bars, table.words[fid]
+    id_of_word, bars, word = table.id_of_word, table.bars, table._words()[fid]
     below = bars[fid] - 1
     cuts = run_cuts(word)
     lowers = []
@@ -228,7 +228,7 @@ def f_vector(table: FaceTable) -> tuple[int, ...]:
     >>> f_vector(enumerate_faces(3))
     (1, 4, 1)
     """
-    return tuple(map(len, table.ids_by_dim().values()))
+    return tuple(map(table.bars.count, range(table.n)))
 
 
 def euler_characteristic(table: FaceTable) -> int:

@@ -156,7 +156,7 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
 def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
     """The partner ids of faces lo..hi-1, -1 for a critical face."""
     n, id_of_word = table.n, table.id_of_word
-    found = (partner(BarredFace.from_word(n, w)) for w in islice(table.words, lo, hi))
+    found = (partner(BarredFace.from_word(n, w)) for w in islice(table._words(), lo, hi))
     return array("i", (-1 if g is None else id_of_word(g.word) for g in found))
 
 
@@ -174,7 +174,7 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     """
     check_table(table, matching)
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
-    words, bars = table.words, table.bars
+    words, bars = table._words(), table.bars
     for fid in compress(count(), map((0).__gt__, matching.partners)):
         w = words[fid]
         out[bars[fid] - 1].append(fid)
@@ -215,7 +215,7 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     violations: list[str] = []
     partners = matching.partners
     size = len(partners)
-    words, bars = table.words, table.bars
+    words, bars = table._words(), table.bars
     offsets, lowers = table.cover_incidence()
     for fid in compress(count(), map((-1).__lt__, partners)):
         gid = partners[fid]

@@ -18,11 +18,11 @@ process run on two CPUs and has ``os.fork``, a row uses two processes and
 at most one worker at a time.  The upper half of the cover incidence and of
 the primal partner ids are computed in a worker while this process computes
 the lower half.  Then a worker checks the primal side, lets go of the words
-of a table the row built itself and computes the invariant factors, while
-this process checks the dual side and verifies the witnesses; the worker
-returns only its ``MatchingSide`` and the factor memo, which this process
-reads the Betti numbers off.  Every other row, and every row on a machine
-without a second CPU, runs in process, the worker's half last.  The results
+of the row's table and computes the invariant factors, while this process
+checks the dual side and verifies the witnesses; the worker returns only
+its ``MatchingSide`` and the factor memo, which this process reads the
+Betti numbers off.  Every other row, and every row on a machine without a
+second CPU, runs in process, the worker's half last.  The results
 are the same either way, and a worker that fails raises in this process, so
 it can never turn into a PASS.
 
@@ -66,7 +66,7 @@ def face_table_payload(table: FaceTable) -> dict:
     faces = [
         {"id": i, "perm": list(word[1:-1]), "blocks": list(map(list, core_blocks(word))),
          "dim": bars - 1}
-        for i, (word, bars) in enumerate(zip(table.words, table.bars))
+        for i, (word, bars) in enumerate(zip(table._words(), table.bars))
     ]
     return {"n": table.n, "faces": faces}
 
@@ -170,20 +170,16 @@ class ConjectureReport:
         return all(r.verdict == "PASS" for r in self.rows)
 
 
-def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
-    """Run every verification for one n, on ``table`` if one is given; a
-    table for another n raises ValueError.
+def conjecture_row(n: int) -> ConjectureRow:
+    """Run every verification for one n on a face table of its own, which
+    lets go of its words before the Smith forms.
 
     >>> conjecture_row(3)  # doctest: +NORMALIZE_WHITESPACE
     ConjectureRow(n=3, expected=(0,), observed=(0,), primal_morse_ok=True,
                   dual_morse_ok=True, acyclic_ok=True, symmetry_ok=True,
                   witness_ok=True)
     """
-    release = table is None  # only a table the row built itself
-    if table is None:
-        table = enumerate_faces(n, max_n=n)
-    elif table.n != n:
-        raise ValueError(f"conjecture_row(n={n}) was given a face table for n={table.n}")
+    table = enumerate_faces(n, max_n=n)
     table.cover_incidence()  # before the worker forks: both sides read it
 
     def here():
@@ -195,7 +191,7 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
 
     (dual, witness_ok), (primal, factors) = workers.both(
         "primal matching side and Smith forms", len(table), here,
-        partial(_primal_side_and_factors, table, build_matching(table), release),
+        partial(_primal_side_and_factors, table, build_matching(table)),
     )
     table._invariants = factors  # the worker's memo, or the same dict in process
     bt = betti_table(table, "Z")
@@ -216,15 +212,14 @@ def conjecture_row(n: int, *, table: FaceTable | None = None) -> ConjectureRow:
     )
 
 
-def _primal_side_and_factors(table: FaceTable, matching: MatchingMap, release: bool) -> tuple:
-    """The primal side checked, then the factor memo of every boundary; with
-    ``release``, the words, the partner memo and the partner ids of
-    ``matching`` (emptied in place: the caller's ``partial`` holds it) go
-    first, as the Smith forms read none of them."""
+def _primal_side_and_factors(table: FaceTable, matching: MatchingMap) -> tuple:
+    """The primal side checked, then the factor memo of every boundary; the
+    words, the partner memo and the partner ids of ``matching`` (emptied in
+    place: the caller's ``partial`` holds it) go first, as the Smith forms
+    read none of them."""
     primal = check_matching_side(table, matching)
-    if release:
-        table.release_words()
-        del matching.partners[:]
+    table.release_words()
+    del matching.partners[:]
     invariant_factors(table, 0)
     return primal, table._invariants
 

@@ -4,8 +4,8 @@ The lex-sorted bytes words the table lists are its only index, the cover
 incidence is two ``array('i')``, and so is each per-dimension id list.
 Tracemalloc bounds guard the footprint of the table and the peak
 of the eliminations, and a report row loads no hashing library.  A table
-that has released its words keeps all the Smith forms read, and fails
-loudly where a word is asked for.
+that has released its words keeps all the Smith forms read, and raises one
+ValueError wherever a word is asked for.
 """
 
 import math
@@ -13,12 +13,23 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from functools import partial
 from itertools import chain
 
 import pytest
 
-from hcomplex.complexes import enumerate_faces
+from hcomplex.complexes import (
+    covers_down,
+    enumerate_faces,
+    euler_characteristic,
+    f_vector,
+    is_free_face,
+)
 from hcomplex.homology import invariant_factors
+from hcomplex.matching import build_matching, critical_faces, verify_well_defined
+from hcomplex.morse import build_digraph
+from hcomplex.perms import face_from_perm
+from hcomplex.reports import face_table_payload
 
 # enumerate_faces(7) + cover_incidence() + ids_by_dim() measured 80 B per
 # face under tracemalloc (Python 3.11, 64-bit Linux); the bound allows 15%.
@@ -112,6 +123,43 @@ def test_a_released_table_keeps_its_size_and_refuses_its_words():
         t.face(7)
     with pytest.raises(ValueError, match="were released"):
         t.id_of_word(word)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
+def test_every_word_reader_of_a_released_table_raises_one_value_error(built):
+    # the matchings are built on a whole table of the same size, or on this
+    # one before its release
+    t, whole = enumerate_faces(4), enumerate_faces(4)
+    matchings = [build_matching(t if built else whole, dual=d) for d in (False, True)]
+    if built:
+        t.cover_incidence()
+    t.release_words()
+    checks = (critical_faces, verify_well_defined)
+    readers = [
+        lambda: covers_down(t, 5),
+        lambda: build_matching(t),
+        lambda: build_matching(t, dual=True),
+        lambda: face_table_payload(t),
+        lambda: is_free_face(t, face_from_perm((1, 2, 4, 3))),
+        *(partial(check, t, m) for m in matchings for check in checks),
+    ]
+    if not built:
+        readers.append(t.cover_incidence)
+    for read in readers:
+        with pytest.raises(ValueError, match="^the words of the face table for n=4 were released$"):
+            read()
+    assert len(t) == 24 and f_vector(t) == (1, 11, 11, 1)
+    assert euler_characteristic(t) == 0 and len(t.ids_by_dim()[1]) == 11
+    if built:
+        assert t.cover_incidence() == whole.cover_incidence()
+        assert invariant_factors(t, 1) == invariant_factors(whole, 1)
+        assert build_digraph(t, matchings[0]) == build_digraph(whole, build_matching(whole))
+
+
+def test_f_vector_builds_no_id_lists():
+    t = enumerate_faces(6)
+    assert f_vector(t) == tuple(map(len, enumerate_faces(6).ids_by_dim().values()))
+    assert t._ids_by_dim is None
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -4,8 +4,6 @@ import random
 from array import array
 from itertools import accumulate, chain
 
-import pytest
-
 from hcomplex import reports
 from hcomplex.matching import MatchingMap
 from hcomplex.morse import (
@@ -210,12 +208,3 @@ def test_conjecture_row_checks_morse_inequalities(monkeypatch):
     row = reports.conjecture_row(5)
     assert not row.primal_morse_ok and not row.dual_morse_ok
     assert row.verdict == "FAIL"
-
-
-def test_conjecture_row_refuses_a_table_for_another_n(table, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("the size check must come before any work")
-
-    monkeypatch.setattr(reports, "build_matching", never)
-    with pytest.raises(ValueError, match="n=5.*n=4"):
-        reports.conjecture_row(5, table=table(4))

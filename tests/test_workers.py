@@ -3,8 +3,8 @@ reach the parent, and no child left behind.
 
 The worker is forced on by lowering ``workers.MIN_FACES`` to one face and
 reporting two CPUs, and forced off by reporting one CPU.  A row's Smith
-forms run without the words of a table the row built itself, and a table
-passed in keeps its words, with the worker and without it.
+forms run on its own table without its words, with the worker and without
+it.
 """
 
 import os
@@ -82,18 +82,6 @@ def test_a_row_runs_its_smith_forms_on_its_own_table_without_words(
     monkeypatch.setattr(reports, "invariant_factors", spy)
     assert conjecture_row(5).verdict == "PASS"
     assert seen.read_text() == f"words None in worker {worker == 'worker_on'}\n"
-    _no_child_left()
-
-
-@pytest.mark.parametrize("worker", ["worker_on", "worker_off"])
-def test_a_table_passed_to_a_row_keeps_every_word(worker, request):
-    request.getfixturevalue(worker)
-    t = enumerate_faces(6)
-    words = list(t.words)
-    assert conjecture_row(6, table=t).verdict == "PASS"
-    assert t.words == words and t._partners is not None
-    whole = enumerate_faces(6)
-    assert t._invariants == {d: reports.invariant_factors(whole, d) for d in range(5)}
     _no_child_left()
 
 
