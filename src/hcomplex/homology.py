@@ -2,10 +2,10 @@
 
 The boundary of a face [U_1 < .. < U_j] is the alternating sum over deleted
 chain elements, sum_i (-1)^(i-1) [.. U_{i-1} < U_{i+1} ..].  Deleting from a
-chain keeps every bar a descent, so the terms stay in the complex.  With the
-empty face kept as the unique (-1)-dimensional face, the same formula sends
-every vertex to +[empty], which builds the augmentation in: all Betti numbers
-computed here are reduced.
+chain keeps every bar a descent, so the terms stay in the complex (with no
+table, ``boundary_of_chain`` joins two block labels).  With the empty face as
+the unique (-1)-dimensional face, every vertex maps to +[empty], which builds
+the augmentation in: all Betti numbers computed here are reduced.
 
 Reduced homology is read off the Smith normal form of the boundary matrices,
 
@@ -34,7 +34,7 @@ from dataclasses import field
 from typing import Collection, Mapping
 
 from .complexes import FaceTable, enumerate_faces, f_vector
-from .perms import BarredFace, erase_bar, frozen_slots, run_cuts
+from .perms import BarredFace, block_labels, frozen_slots
 from .snf import Rows, rank_mod_p, rank_q, smith_normal_form
 
 COEFFICIENTS = ("Z", "Q", "F2", "F3", "F5")
@@ -218,22 +218,22 @@ class SignedChain:
 def boundary_of_chain(chain: SignedChain) -> SignedChain:
     """The boundary, computed term by term without a face table.
 
-    Erasing bar i of a face is ``perms.erase_bar``, as in ``covers_down``
-    on the table, with sign (-1)^i.  Terms are summed by their ``bytes``
-    words, and only those with a non-zero coefficient become faces, each
-    around its summed word.
+    Each term is keyed by its ``perms.block_labels``; erasing bar i, sign
+    (-1)^i, is one ``translate`` that keeps labels up to i and lowers the rest
+    by 1, joining blocks i and i+1 as ``covers_down`` does on a table.  Only
+    keys with a non-zero sum become faces, their letters sorted by label.
 
     >>> from .perms import face_from_perm
     >>> f = face_from_perm((2, 1, 3))
     >>> sorted(repr(g) for g in boundary_of_chain(SignedChain(3, 0, {f: 1})).coeffs)
     ['BarredFace(3, 01234)']
     """
+    merges = [bytes(range(i + 1)) + bytes(range(i, 255)) for i in range(chain.dim + 1)]  # bar i
     acc: dict[bytes, int] = {}
     for face, c in chain.coeffs.items():
-        word = face.word
-        cuts = run_cuts(word)
-        for i in range(len(cuts) - 2):
-            key = erase_bar(word, cuts, i)
-            acc[key] = acc.get(key, 0) + (c if i % 2 == 0 else -c)
+        labels = block_labels(face.word)
+        for i, key in enumerate(map(labels.translate, merges)):
+            acc[key] = acc.get(key, 0) + (-c if i & 1 else c)
     n = chain.n
-    return SignedChain(n, chain.dim - 1, {BarredFace.from_word(n, w): v for w, v in acc.items() if v})
+    words = {bytes(sorted(range(n + 2), key=key.__getitem__)): v for key, v in acc.items() if v}
+    return SignedChain(n, chain.dim - 1, {BarredFace.from_word(n, w): v for w, v in words.items()})

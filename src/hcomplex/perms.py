@@ -12,9 +12,9 @@ word (one block) is the empty face.  There is no separate permutation type:
 gives the descents and ``complement_word`` the complement.
 
 A word is ``bytes``, one letter per byte, the same object the face table
-keys its ids by; so n is at most ``MAX_N``.  Two helpers hold the rules on
-words: ``run_cuts`` finds the runs, and ``erase_bar`` sorts the two runs a
-bar separates into one, which gives a face the face it covers.
+keys its ids by; so n is at most ``MAX_N``.  Three helpers hold the rules on
+words: ``run_cuts`` finds the runs, ``erase_bar`` sorts the two runs a bar
+separates into one (the covered face) and ``block_labels`` numbers them.
 ``diagnose_word`` finds the lowest matchable block in one pass over the run
 cuts and names the adjacent swap that gives the matched face.
 
@@ -186,6 +186,15 @@ def erase_bar(word: bytes, cuts: list[int], i: int) -> bytes:
     return word[:lo] + bytes(sorted(word[lo:hi])) + word[hi:]
 
 
+def block_labels(word: bytes) -> bytes:
+    """Byte v is the index of the run holding letter v; bar i lies between labels i and i+1.
+
+    >>> list(block_labels(bytes((0, 1, 3, 2, 6, 5, 4, 7))))
+    [0, 0, 1, 0, 3, 2, 1, 3]
+    """
+    return bytes.maketrans(word, bytes(itertools.accumulate(map(gt, word, word[1:]), initial=0)))[:len(word)]
+
+
 def blocks_of_word(word: Sequence[int]) -> tuple[Block, ...]:
     """Cut a word into maximal increasing runs."""
     cuts = run_cuts(word)
@@ -230,18 +239,20 @@ def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:
     >>> face_from_chain(2, ())
     BarredFace(2, 0123)
     """
+    check_n(n)
     full = (1 << (n + 1)) - 2  # bits 1..n
-    blocks = []
-    prev = 0
-    for mask in tuple(chain) + (full,):
+    word, prev = [0], 0
+    for mask in (*chain, full):
         if mask & ~full or mask & prev != prev or mask == prev:
             raise ValueError("not a strictly increasing chain of proper subsets")
-        diff = mask & ~prev
-        blocks.append(tuple(v for v in range(1, n + 1) if diff >> v & 1))
-        prev = mask
-    blocks[0] = (0,) + blocks[0]
-    blocks[-1] = blocks[-1] + (n + 1,)
-    return BarredFace(n, tuple(blocks))
+        prev, new = mask, mask & ~prev  # the block's letters: the new bits, lowest first
+        while new:
+            word.append((new & -new).bit_length() - 1)
+            new &= new - 1
+    face = BarredFace.from_word(n, bytes((*word, n + 1)))
+    if face.dim != len(chain) - 1:  # each block increases, so a bar is lost only at an ascent
+        raise ValueError("some bar of the chain is an ascent")
+    return face
 
 
 def complement_word(word: bytes) -> bytes:

@@ -23,7 +23,7 @@ True
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .complexes import FaceTable, is_free_face
 from .homology import SignedChain, boundary_of_chain
@@ -115,17 +115,17 @@ def cycle_witness(n: int, k: int) -> SignedChain:
     +1 BarredFace(7, 03|126|4578)
     """
     spec = witness_spec(n, k)
-    core = list(spec.free_face.word[1:-1])
+    core, gens = list(spec.free_face.word[1:-1]), spec.generators
     coeffs: dict[BarredFace, int] = {}
-    for size in range(len(spec.generators) + 1):
-        for subset in combinations(spec.generators, size):
-            perm = core[:]
-            for p, q in subset:
-                perm[p], perm[q] = perm[q], perm[p]
-            face = face_from_perm(perm)
-            if face.dim != k or face in coeffs:
-                raise AssertionError(f"swap term {face!r} is repeated or not of dimension {k}")
-            coeffs[face] = 1 if size % 2 == 0 else -1
+    subsets = chain.from_iterable(combinations(gens, size) for size in range(len(gens) + 1))
+    for count, subset in enumerate(subsets, 1):
+        perm = core[:]
+        for p, q in subset:
+            perm[p], perm[q] = perm[q], perm[p]
+        face = face_from_perm(perm)
+        coeffs[face] = -1 if len(subset) % 2 else 1
+        if face.dim != k or len(coeffs) != count:  # one hash per term: a repeat adds none
+            raise AssertionError(f"swap term {face!r} is repeated or not of dimension {k}")
     return SignedChain(n, k, coeffs)
 
 
@@ -143,7 +143,6 @@ def has_local_parent(face: BarredFace) -> bool:
     >>> has_local_parent(BarredFace(3, ((0, 1, 2, 3, 4),)))  # the empty face
     True
     """
-    n = face.n
     masks = face.chain()
     for i, core in enumerate(core_blocks(face.word)):
         prev = masks[i - 1] if i else 0
@@ -151,7 +150,7 @@ def has_local_parent(face: BarredFace) -> bool:
             for lower in combinations(core, size):
                 refined = masks[:i] + (prev | sum(1 << v for v in lower),) + masks[i:]
                 try:
-                    face_from_chain(n, refined)
+                    face_from_chain(face.n, refined)
                 except ValueError:
                     continue  # some bar of the refinement is an ascent
                 return True

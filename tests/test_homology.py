@@ -1,7 +1,8 @@
 """Boundary operators, exact homology, and the non-vanishing window."""
 
+import random
 from array import array
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, permutations
 
 import pytest
 import sympy
@@ -19,7 +20,7 @@ from hcomplex.homology import (
     invariant_factors,
     nonzero_dims_via_ranks,
 )
-from hcomplex.perms import BarredFace, face_from_chain, face_from_perm
+from hcomplex.perms import BarredFace, block_labels, face_from_chain, face_from_perm
 from hcomplex.snf import smith_normal_form
 from hcomplex.witnesses import admissible_pairs, cycle_witness
 
@@ -133,6 +134,34 @@ def test_boundary_of_witnesses_equals_chain_deletion():
             got = boundary_of_chain(chain)
             want = boundary_of_chain_by_chain_deletion(chain)
             assert (got.dim, dict(got.coeffs)) == (want.dim, dict(want.coeffs)), chain
+
+
+def test_boundary_of_random_chains_equals_chain_deletion():
+    # several terms of one dimension with coefficients that cancel only partly
+    rng = random.Random(2025)
+    for n in range(1, 8):
+        by_dim = {}
+        for core in permutations(range(1, n + 1)):
+            f = face_from_perm(core)
+            by_dim.setdefault(f.dim, []).append(f)
+        for _ in range(40):
+            faces = by_dim[rng.choice(sorted(by_dim))]
+            terms = rng.sample(faces, min(len(faces), rng.randint(1, 8)))
+            chain = SignedChain(n, terms[0].dim, {f: rng.choice((1, -1, 2, -2, 3)) for f in terms})
+            got = boundary_of_chain(chain)
+            want = boundary_of_chain_by_chain_deletion(chain)
+            assert got.dim == want.dim
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), chain
+
+
+def test_boundary_of_a_face_with_every_bar_at_n_254():
+    # the decreasing core has a bar at each of ranks 2..254: labels reach 253
+    f = face_from_perm(range(254, 0, -1))
+    assert f.dim == 252 and max(block_labels(f.word)) == 253
+    d = boundary_of_chain(SignedChain(254, 252, {f: 1}))
+    want = boundary_of_chain_by_chain_deletion(SignedChain(254, 252, {f: 1}))
+    assert len(d) == 253 and dict(d.coeffs) == dict(want.coeffs)
+    assert boundary_of_chain(d).is_zero()
 
 
 def test_boundary_matrix_golden_n3(table):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hcomplex.perms import (
     BarredFace,
     MatchableType,
+    block_labels,
     blocks_of_word,
     complement_word,
     diagnose_word,
@@ -57,6 +58,7 @@ def test_n_above_the_byte_limit_is_refused():
         lambda: face_from_perm(range(1, 256)),
         lambda: witness_spec(255, 84),
         lambda: enumerate_faces(255, max_n=None),
+        lambda: face_from_chain(255, ()),
     ):
         with pytest.raises(ValueError, match="254"):
             build()
@@ -236,6 +238,9 @@ def test_face_from_chain_rejects_bad_chains():
         face_from_chain(3, (0b0001,))  # touches the sentinel bit
     with pytest.raises(ValueError):
         face_from_chain(3, (0b0010,))  # bar at an ascent: 1 | 2 3
+    for n in (0, -1, -2):  # no letters to read bits into
+        with pytest.raises(ValueError):
+            face_from_chain(n, ())
 
 
 def test_complement_is_an_involution():
@@ -418,3 +423,18 @@ def test_run_cuts_and_erase_bar_on_bytes_words(word):
         assert blocks_of_word(erased) == (
             blocks[:i] + (tuple(sorted(blocks[i] + blocks[i + 1])),) + blocks[i + 2:]
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentinel_words)
+def test_block_labels_number_the_runs_and_join_as_erase_bar(word):
+    labels = block_labels(word)
+    blocks = blocks_of_word(word)
+    assert type(labels) is bytes and len(labels) == len(word)
+    assert all(labels[v] == b for b, block in enumerate(blocks) for v in block)
+    assert bytes(sorted(range(len(word)), key=labels.__getitem__)) == word
+    cuts = run_cuts(word)
+    for i in range(len(cuts) - 2):
+        # keep labels <= i, lower the rest by 1: the labels of erase_bar's word
+        merge = bytes(range(i + 1)) + bytes(range(i, 255))
+        assert labels.translate(merge) == block_labels(erase_bar(word, cuts, i))

@@ -1,5 +1,7 @@
 """Free-face cycle witnesses: construction, certification, freeness scan."""
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -92,12 +94,32 @@ def has_local_parent_by_neighbour_bars(face):
     return False
 
 
+# sha256 of the 56 witness payloads with n <= 24, sorted by (n, k), each as
+# compact sorted-key JSON and a newline: the digest perfbench/run.py freezes
+WITNESS_N24_SHA256 = "7897758dc832b76523ecac3dc073c0328ac4775e123aad001e58429f40c2a1e3"
+
+
 def test_witnesses_beyond_enumeration_reach():
-    for n, k in admissible_pairs(24):
+    digest = hashlib.sha256()
+    pairs = admissible_pairs(24)
+    assert len(pairs) == 56
+    for n, k in pairs:
         report = verify_witness(n, k)
         assert report.ok, (n, k, report.checks)
         assert report.term_count == 2 ** (k + 1)
         assert not has_local_parent_by_neighbour_bars(report.free_face)
+        digest.update(json.dumps(report.payload(), sort_keys=True, separators=(",", ":")).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == WITNESS_N24_SHA256
+
+
+def test_cycle_witness_refuses_a_repeated_term(monkeypatch):
+    # every swap subset made into the same face: the second term is a repeat
+    import hcomplex.witnesses
+
+    monkeypatch.setattr(hcomplex.witnesses, "face_from_perm", lambda perm: free_face(7, 1))
+    with pytest.raises(AssertionError, match="repeated"):
+        cycle_witness(7, 1)
 
 
 def test_local_freeness_scan_matches_table_oracle(table):
