@@ -123,14 +123,16 @@ class FaceTable:
         Erasing bar k carries the boundary sign (-1)^k.  Built on first use:
         the offsets are the running sums of ``bars``, the lowers one
         ``covers_down`` call per face; on a table large enough for a worker
-        (``workers.split``), the upper half of the ids is scanned there.
+        (``workers.split``), the worker scans the ids holding the upper half.
 
         >>> enumerate_faces(3).cover_incidence()
         (array('i', [0, 0, 1, 2, 3, 4, 6]), array('i', [0, 0, 0, 0, 3, 4]))
         """
         if self._incidence is None:
-            lowers = workers.split("cover_incidence", len(self), self._cover_span)
-            self._incidence = array("i", itertools.accumulate(self.bars, initial=0)), lowers
+            offsets = array("i", itertools.accumulate(self.bars, initial=0))
+            mid = bisect_left(offsets, offsets[-1] // 2)  # half the covers either side
+            lowers = workers.split("cover_incidence", len(self), self._cover_span, mid)
+            self._incidence = offsets, lowers
         return self._incidence
 
     def _cover_span(self, lo: int, hi: int) -> array:
@@ -175,24 +177,26 @@ def covers_down(table: FaceTable, fid: int) -> tuple[int, ...]:
     """The ids of the faces covered by face ``fid``, in bar order: entry i
     erases bar i.
 
-    Erasing a bar of ``table.words[fid]`` is ``perms.erase_bar``, and
-    ``table.id_of_word`` finds the word it gives.  Raises AssertionError,
-    naming the face, unless each word found there is a face with one bar
-    fewer in ``bars`` (one block fewer) than this face has there, and this
-    face covers as many faces as its bar count.
+    Erasing a bar of ``table.words[fid]`` (``perms.erase_bar``) sorts a
+    segment, so the word it gives is found by bisection below ``fid``.
+    Raises AssertionError, naming the face, unless each word found is a face
+    with one bar fewer in ``bars`` (one block fewer) than this face has
+    there, and this face covers as many faces as its bar count.
 
     >>> covers_down(enumerate_faces(3), 5)
     (3, 4)
     """
-    id_of_word, bars, word = table.id_of_word, table.bars, table._words()[fid]
-    below = bars[fid] - 1
+    words, bars = table._words(), table.bars
+    word, below = words[fid], bars[fid] - 1
     cuts = run_cuts(word)
     lowers = []
     for bar in range(len(cuts) - 2):
-        try:
-            lower = id_of_word(erase_bar(word, cuts, bar))
-        except KeyError:
-            raise AssertionError(f"face {fid}: erasing bar {bar} gives no face of the table") from None
+        erased = erase_bar(word, cuts, bar)
+        lower = bisect_left(words, erased, 0, fid)
+        if words[lower] != erased:  # words out of lex order, or none of them
+            if erased not in words:
+                raise AssertionError(f"face {fid}: erasing bar {bar} gives no face of the table")
+            lower = table.id_of_word(erased)
         if bars[lower] != below:
             raise AssertionError(
                 f"erasing bar {bar} of face {fid} ({below + 1} bars) gives face {lower} "

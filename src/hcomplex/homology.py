@@ -31,6 +31,7 @@ True
 from __future__ import annotations
 
 from dataclasses import field
+from types import MappingProxyType
 from typing import Collection, Mapping
 
 from .complexes import FaceTable, enumerate_faces, f_vector
@@ -195,18 +196,22 @@ def check_betti_symmetry(bt: BettiTable) -> bool:
 
 @frozen_slots
 class SignedChain:
-    """An integer chain: faces of one dimension with non-zero coefficients."""
+    """An integer chain: faces of one dimension with non-zero coefficients (a read-only copy)."""
 
     n: int
     dim: int
     coeffs: Mapping[BarredFace, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
         for face, c in self.coeffs.items():
             if face.n != self.n or face.dim != self.dim:
                 raise ValueError(f"term {face!r} does not live in dimension {self.dim}")
             if not c:
                 raise ValueError("coefficients must be non-zero")
+
+    def __reduce__(self):
+        return SignedChain, (self.n, self.dim, dict(self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs

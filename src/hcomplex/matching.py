@@ -10,7 +10,8 @@ The dual matching applies the same rules to the order-reversed structure
 (maximal decreasing runs, bars at ascents): the complemented word
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
 word.  Complement reverses the lex order of face ids, so the dual pairs are
-the primal ones relabelled f -> n!-1-f.  ``critical_faces`` reads dual runs.
+the primal ones relabelled f -> n!-1-f, and ``verify_well_defined`` checks
+them as that mirror of the primal check.  ``critical_faces`` reads dual runs.
 
 A ``MatchingMap`` is an ``array('i')`` of partner ids, ``pairs`` a new dict
 of them.  Whatever reads a matching against a table calls ``check_table``
@@ -26,7 +27,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
+from operator import gt, ne
+from typing import Iterator
 
 from . import workers
 from .complexes import FaceTable
@@ -143,14 +146,15 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        table._partners = workers.split("partner ids", len(table), partial(_partner_span, table))
+        span = partial(_partner_span, table)
+        table._partners = workers.split("partner ids", len(table), span, len(table) // 2)
     primal = table._partners
-    if dual:
-        last = len(primal) - 1
-        partners = array("i", (-1 if g < 0 else last - g for g in reversed(primal)))
-    else:
-        partners = array("i", primal)
-    return MatchingMap(table.n, dual, partners)
+    return MatchingMap(table.n, dual, array("i", _relabelled(primal) if dual else primal))
+
+
+def _relabelled(partners: array) -> Iterator[int]:
+    last = len(partners) - 1  # f -> N-1-f, -1 kept
+    return (-1 if g < 0 else last - g for g in reversed(partners))
 
 
 def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
@@ -175,15 +179,12 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     check_table(table, matching)
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
     words, bars = table._words(), table.bars
+    run, kind = (b"\1\1\1", "decreasing") if matching.dual else (b"\0\0\0", "increasing")
     for fid in compress(count(), map((0).__gt__, matching.partners)):
         w = words[fid]
         out[bars[fid] - 1].append(fid)
-        fours = zip(w, w[1:], w[2:], w[3:])
-        if matching.dual:
-            if any(a > b > c > d for a, b, c, d in fours):
-                raise AssertionError(f"dual critical face {fid} {list(w)} has a decreasing run > 3")
-        elif any(a < b < c < d for a, b, c, d in fours):
-            raise AssertionError(f"critical face {fid} {list(w)} has a block > 3")
+        if run in bytes(map(gt, w, w[1:])):  # 1 at each descent
+            raise AssertionError(f"critical face {fid} {list(w)} has a run > 3 ({kind})")
     return out
 
 
@@ -199,12 +200,22 @@ class MatchingReport:
     violations: tuple[str, ...] = ()
 
 
-def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingReport:
+def verify_well_defined(
+    table: FaceTable, matching: MatchingMap, primal: MatchingReport | None = None
+) -> MatchingReport:
     """Confirm the matching is an involution by cover pairs one adjacent
-    transposition apart whose members, diagnosed here on the side
-    ``matching.dual`` names (a primal face's word directly, a dual face's
-    complemented word), share their lowest matchable rank with inverse types
-    (one-split with one-merged, two-merged with two-split).
+    transposition apart whose members share their lowest matchable rank with
+    inverse types (one-split with one-merged, two-merged with two-split).
+
+    A primal matching is checked pair by pair on the words; a dual one as the
+    mirror of ``build_matching(table)``, whose report is ``primal`` (checked
+    here when not given): the involution and cover pairs on its own pairs,
+    then (M1) ``partners[f] == N-1-p[N-1-f]`` for the primal ids p, -1 kept,
+    and (M2) ``complement_word(words[f]) == words[N-1-f]``.  By M2 and M1 the
+    complemented words of a dual pair are a primal pair's, whose diagnoses,
+    ranks and types the primal check compared; complement maps letters to
+    letters bijectively, so it keeps adjacent swaps adjacent.  A failed
+    primal report fails the dual one.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -213,10 +224,20 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
     """
     check_table(table, matching)
     violations: list[str] = []
-    partners = matching.partners
-    size = len(partners)
+    partners, size = matching.partners, len(matching.partners)
     words, bars = table._words(), table.bars
     offsets, lowers = table.cover_incidence()
+    if matching.dual:
+        if not (primal or verify_well_defined(table, build_matching(table))).ok:
+            violations.append("the primal matching it mirrors is not well defined")
+        last, n = size - 1, table.n
+        primal_ids = table._partners or build_matching(table).partners
+        for f in compress(count(), map(ne, partners, _relabelled(primal_ids))):
+            violations.append(f"{f}<->{partners[f]}: not primal face {last - f}'s pair relabelled")
+        flip = bytes.maketrans(bytes(range(1, n + 1)), bytes(range(n, 0, -1)))
+        unlike = map(bytes.__ne__, map(bytes.translate, words, repeat(flip)), reversed(words))
+        for f in compress(count(), unlike):
+            violations.append(f"word {f} complemented is not word {last - f}")
     for fid in compress(count(), map((-1).__lt__, partners)):
         gid = partners[fid]
         if gid >= size or partners[gid] != fid or gid == fid:
@@ -229,12 +250,11 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
             lowers.index(lower, offsets[upper], offsets[upper + 1])
         except ValueError:
             violations.append(f"{fid}<->{gid}: not a cover pair")
+        if matching.dual:
+            continue  # M1 and M2 carry the rest over from the primal check
         if not _is_adjacent_swap(words[fid], words[gid]):
             violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        pair = (words[fid], words[gid])
-        if matching.dual:
-            pair = map(complement_word, pair)
-        df, dg = map(diagnose_word, pair)
+        df, dg = diagnose_word(words[fid]), diagnose_word(words[gid])
         if df is None or dg is None:
             violations.append(f"{fid}<->{gid}: matched face has no matchable block")
             continue
@@ -242,16 +262,9 @@ def verify_well_defined(table: FaceTable, matching: MatchingMap) -> MatchingRepo
         if rank_f != rank_g:
             violations.append(f"{fid}<->{gid}: ranks differ ({rank_f} vs {rank_g})")
         if _PAIRED_KIND[kind_f] is not kind_g:
-            violations.append(
-                f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse"
-            )
+            violations.append(f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse")
     if matching.matched % 2:
         violations.append("odd number of matched faces")
-    return MatchingReport(
-        n=table.n,
-        dual=matching.dual,
-        ok=not violations,
-        pair_count=matching.matched // 2,
-        critical_count=len(table) - matching.matched,
-        violations=tuple(violations[:20]),
-    )
+    matched = matching.matched
+    return MatchingReport(table.n, matching.dual, not violations, matched // 2,
+                          len(table) - matched, tuple(violations[:20]))

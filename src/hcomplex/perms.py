@@ -32,17 +32,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 from operator import gt
 from typing import Sequence
 
 Block = tuple[int, ...]
 MAX_N = 254  # the letters 0..n+1 of a word fit in one byte each
-
-
-@lru_cache(maxsize=None)
-def _letters(n: int) -> frozenset[int]:
-    return frozenset(range(n + 2))
 
 
 def check_n(n: int) -> None:
@@ -55,7 +49,7 @@ def _check_sentinel_word(word: bytes, n: int) -> None:
     """Raise ValueError unless 1 <= n <= MAX_N and word permutes 0..n+1 with
     0 first, n+1 last."""
     check_n(n)
-    if len(word) != n + 2 or _letters(n) != set(word):
+    if len(word) != n + 2 or set(range(n + 2)) != set(word):
         raise ValueError(f"not a permutation of 0..{n + 1}: {list(word)}")
     if not word or word[0] != 0 or word[-1] != n + 1:
         raise ValueError(f"sentinels must be 0 and {n + 1}: {list(word)}")
@@ -115,10 +109,15 @@ class BarredFace:
         """
         if type(word) is not bytes:
             raise ValueError(f"word must be bytes, not {type(word).__name__}: {word!r}")
-        _check_sentinel_word(word, n)
+        if not (1 <= n <= MAX_N and len(word) == n + 2 and word[0] == 0 and word[-1] == n + 1
+                and len(set(word)) == n + 2 and max(word) == n + 1):
+            _check_sentinel_word(word, n)  # raises, naming what is wrong
         face = object.__new__(cls)
         _init_face(face, n, word, sum(map(gt, word, word[1:])) - 1)
         return face
+
+    def __hash__(self) -> int:
+        return hash(self.word)  # equal faces have equal words, whose length gives n
 
     def __reduce__(self):
         return BarredFace.from_word, (self.n, self.word)
@@ -154,10 +153,13 @@ class BarredFace:
         return f"BarredFace({self.n}, {self.blocks})"
 
 
+_SET_N, _SET_WORD, _SET_DIM = (vars(BarredFace)[k].__set__ for k in ("n", "word", "dim"))
+
+
 def _init_face(face: BarredFace, n: int, word: bytes, dim: int) -> None:
-    object.__setattr__(face, "n", n)
-    object.__setattr__(face, "word", word)
-    object.__setattr__(face, "dim", dim)
+    _SET_N(face, n)
+    _SET_WORD(face, word)
+    _SET_DIM(face, dim)
 
 
 def run_cuts(word: Sequence[int]) -> list[int]:
@@ -224,7 +226,7 @@ def face_from_perm(core: Sequence[int]) -> BarredFace:
     """
     n = len(core)
     check_n(n)
-    return BarredFace.from_word(n, bytes((0, *core, n + 1)))
+    return BarredFace.from_word(n, b"\0" + bytes(core) + bytes((n + 1,)))
 
 
 def face_from_chain(n: int, chain: Sequence[int]) -> BarredFace:

@@ -17,14 +17,15 @@ From n = 7 on (``workers.MIN_FACES`` faces), on a machine that lets this
 process run on two CPUs and has ``os.fork``, a row uses two processes and
 at most one worker at a time.  The upper half of the cover incidence and of
 the primal partner ids are computed in a worker while this process computes
-the lower half.  Then a worker checks the primal side, lets go of the words
-of the row's table and computes the invariant factors, while this process
-checks the dual side and verifies the witnesses; the worker returns only
-its ``MatchingSide`` and the factor memo, which this process reads the
+the lower half.  Then a worker certifies the primal digraph, lets go of the
+table's words and partner ids and computes the invariant factors, while this
+process checks the primal matching, the dual one as its mirror (handed the
+primal report), the dual digraph and the witnesses; the worker returns only
+its certificate's verdict and the factor memo, which this process reads the
 Betti numbers off.  Every other row, and every row on a machine without a
-second CPU, runs in process, the worker's half last.  The results
-are the same either way, and a worker that fails raises in this process, so
-it can never turn into a PASS.
+second CPU, runs in process, the worker's half last.  The results are the
+same either way, and a worker that fails raises in this process, so it can
+never turn into a PASS.
 
 All payload builders emit deterministically ordered structures, so identical
 inputs give byte-identical serializations.
@@ -45,7 +46,7 @@ from .homology import (
     invariant_factors,
     nonzero_dims_via_ranks,
 )
-from .matching import MatchingMap, build_matching, check_table, verify_well_defined
+from .matching import MatchingMap, MatchingReport, build_matching, check_table, verify_well_defined
 from .morse import (
     MorseNumbers,
     build_digraph,
@@ -95,15 +96,26 @@ class MatchingSide:
 def check_matching_side(
     table: FaceTable, matching: MatchingMap, digest: bool = False
 ) -> MatchingSide:
-    """Run every check of one matching; shared by report rows and ``morse``,
-    which alone asks for the certificate digest."""
-    report = verify_well_defined(table, matching)
+    """Run every check of one matching; ``morse`` alone asks for the digest."""
+    _, violations, numbers = check_matching(table, matching)
+    return MatchingSide(violations, numbers, *certify_acyclic(table, matching, digest))
+
+
+def check_matching(
+    table: FaceTable, matching: MatchingMap, primal: MatchingReport | None = None
+) -> tuple[MatchingReport, tuple[str, ...], MorseNumbers]:
+    """The well-definedness report (a dual one handed ``primal``, the primal
+    report), its violations and the thresholds', and the Morse numbers."""
+    report = verify_well_defined(table, matching, primal)
     numbers = morse_numbers(table, matching)
-    violations = report.violations + check_thresholds(numbers).violations
+    return report, report.violations + check_thresholds(numbers).violations, numbers
+
+
+def certify_acyclic(table: FaceTable, matching: MatchingMap, digest: bool = False) -> tuple:
+    """Whether the matching digraph's certificate is acyclic and re-checks; its digest or None."""
     g = build_digraph(table, matching)
     cert = check_acyclic(g)
-    ok = cert.acyclic and verify_certificate(g, cert)
-    return MatchingSide(violations, numbers, ok, cert.digest() if digest else None)
+    return cert.acyclic and verify_certificate(g, cert), cert.digest() if digest else None
 
 
 def morse_payload(side: MatchingSide) -> dict:
@@ -181,24 +193,28 @@ def conjecture_row(n: int) -> ConjectureRow:
     """
     table = enumerate_faces(n, max_n=n)
     table.cover_incidence()  # before the worker forks: both sides read it
+    matching = build_matching(table)
 
     def here():
-        dual = check_matching_side(table, build_matching(table, dual=True))
+        report, *primal = check_matching(table, matching)
+        dual_matching = build_matching(table, dual=True)
+        _, *dual = check_matching(table, dual_matching, report)
+        dual_acyclic, _ = certify_acyclic(table, dual_matching)
         witness_ok = all(
             verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
         )
-        return dual, witness_ok
+        return primal, dual, dual_acyclic, witness_ok
 
-    (dual, witness_ok), (primal, factors) = workers.both(
-        "primal matching side and Smith forms", len(table), here,
-        partial(_primal_side_and_factors, table, build_matching(table)),
+    (primal, dual, dual_acyclic, witness_ok), (acyclic, factors) = workers.both(
+        "primal digraph and Smith forms", len(table), here,
+        partial(_primal_digraph_and_factors, table, matching),
     )
     table._invariants = factors  # the worker's memo, or the same dict in process
     bt = betti_table(table, "Z")
     observed = bt.nonzero_dims() if n <= 7 else nonzero_dims_via_ranks(table)
     primal_ok, dual_ok = (
-        not side.violations and morse_inequalities(side.numbers, bt.betti).ok
-        for side in (primal, dual)
+        not violations and morse_inequalities(numbers, bt.betti).ok
+        for violations, numbers in (primal, dual)
     )
     return ConjectureRow(
         n,
@@ -206,22 +222,22 @@ def conjecture_row(n: int) -> ConjectureRow:
         tuple(sorted(observed)),
         primal_ok,
         dual_ok,
-        primal.acyclic and dual.acyclic,
+        acyclic and dual_acyclic,
         check_betti_symmetry(bt),
         witness_ok,
     )
 
 
-def _primal_side_and_factors(table: FaceTable, matching: MatchingMap) -> tuple:
-    """The primal side checked, then the factor memo of every boundary; the
-    words, the partner memo and the partner ids of ``matching`` (emptied in
-    place: the caller's ``partial`` holds it) go first, as the Smith forms
-    read none of them."""
-    primal = check_matching_side(table, matching)
+def _primal_digraph_and_factors(table: FaceTable, matching: MatchingMap) -> tuple:
+    """Whether the primal digraph is certified acyclic, then the factor memo
+    of every boundary; the words, the partner memo and the partner ids of
+    ``matching`` (emptied in place: the caller's ``partial`` holds it) go
+    first, as the Smith forms read none of them."""
+    acyclic, _ = certify_acyclic(table, matching)
     table.release_words()
     del matching.partners[:]
     invariant_factors(table, 0)
-    return primal, table._invariants
+    return acyclic, table._invariants
 
 
 def conjecture_payload(report: ConjectureReport) -> dict:

@@ -7,10 +7,10 @@ child pickles its result (or its exception) into a pipe and leaves through
 ``os._exit``, so it never flushes or writes stdout.  The child's copy of the
 table is the parent's, shared copy-on-write, and nothing is sent to it.
 
-``split(stage, size, scan)`` runs a per-face scan over the ids [0, size):
-one ``scan(0, size)`` call in process, or ``scan(0, size // 2)`` here and
-``scan(size // 2, size)`` in the worker, the two results joined by ``+=``,
-so the caller gets one result in id order either way.
+``split(stage, size, scan, mid)`` runs a per-face scan over the ids
+[0, size): one ``scan(0, size)`` call in process, or ``scan(0, mid)`` here
+and ``scan(mid, size)`` in the worker, the two results joined by ``+=``, so
+the caller gets one result in id order either way.
 
 There is no option: a worker is used exactly when ``os.fork`` exists, this
 process may run on two CPUs or more, and the table has ``MIN_FACES`` faces
@@ -44,12 +44,11 @@ def worth_a_worker(faces: int) -> bool:
     return faces >= MIN_FACES and not _in_worker and hasattr(os, "fork") and cpu_count() >= 2
 
 
-def split(stage: str, size: int, scan: Callable[[int, int], Any]) -> Any:
-    """``scan(0, size)``, or with a worker the lower half of [0, size)
-    joined by ``+=`` to the upper half, which is scanned in the worker."""
+def split(stage: str, size: int, scan: Callable[[int, int], Any], mid: int) -> Any:
+    """``scan(0, size)``, or with a worker ``scan(0, mid)`` joined by ``+=``
+    to ``scan(mid, size)``, which is scanned in the worker."""
     if not worth_a_worker(size):
         return scan(0, size)
-    mid = size // 2
     lower, upper = both(stage, size, partial(scan, 0, mid), partial(scan, mid, size))
     lower += upper
     return lower

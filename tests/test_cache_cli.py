@@ -40,12 +40,26 @@ MORSE_N7_DIGEST = {
 }
 MATCH_N6_SHA256 = "d11fa8d74e07da9665a3531ad00d147f0ef34396ce04ac39906923942b7c4c49"
 MATCH_N6_DUAL_SHA256 = "f6b5e3676c37a1f0cb133f203df578e4686599c655ea5848fc8b89f0e4ba78a2"
+# sha256 of the whole ``morse --n 8`` output, primal and dual, as printed
+# while the dual check still re-diagnosed every complemented word
+MORSE_N8_SHA256 = {
+    False: "e569f168806ba9f1b2f5da157a69283e530865c3df3d365c66651baffa0f0228",
+    True: "613dacd503c2d1eda2fb66844117a436ad5c5fec4a6dcc01df7f14e772a0fbb2",
+}
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_cli_morse_n7_digest_frozen(capsys, dual):
     assert main(["morse", "--n", "7", *(["--dual"] if dual else [])]) == 0
     assert json.loads(capsys.readouterr().out)["certificateDigest"] == MORSE_N7_DIGEST[dual]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_cli_morse_n8_frozen(capsys, dual):
+    import hashlib
+
+    assert main(["morse", "--n", "8", *(["--dual"] if dual else [])]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MORSE_N8_SHA256[dual]
 
 
 def test_cli_match_n6_frozen(capsys):
@@ -148,7 +162,7 @@ def test_cli_falsification_exits_1(capsys, monkeypatch):
     assert "falsified" in capsys.readouterr().err
     monkeypatch.setattr(
         "hcomplex.reports.verify_well_defined",
-        lambda table, matching: MatchingReport(3, False, False, 0, 0, ("forced",)),
+        lambda table, matching, primal=None: MatchingReport(3, False, False, 0, 0, ("forced",)),
     )
     assert main(["morse", "--n", "3"]) == 1
     assert "forced" in capsys.readouterr().err
@@ -161,18 +175,18 @@ def test_cli_worker_that_dies_is_a_resource_error(capsys, monkeypatch):
 
     monkeypatch.setattr(workers, "MIN_FACES", 1)
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
-    check_matching_side = reports.check_matching_side
+    certify_acyclic = reports.certify_acyclic
 
-    def dies_on_the_primal_side(table, matching, digest=False):
+    def dies_on_the_primal_digraph(table, matching, digest=False):
         if not matching.dual and workers._in_worker:
             os._exit(3)
-        return check_matching_side(table, matching, digest)
+        return certify_acyclic(table, matching, digest)
 
-    monkeypatch.setattr(reports, "check_matching_side", dies_on_the_primal_side)
+    monkeypatch.setattr(reports, "certify_acyclic", dies_on_the_primal_digraph)
     assert main(["report", "--n-max", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: primal matching side and Smith forms: the worker exited with code 3"
+        "error: primal digraph and Smith forms: the worker exited with code 3"
     ), err
 
 
@@ -216,7 +230,7 @@ def test_cli_report_names_each_failing_row(capsys, monkeypatch):
 
     from hcomplex import reports
 
-    check_matching_side = reports.check_matching_side
+    check_matching = reports.check_matching
     # the rows with both primal flags false, rendered as the table to expect
     rows = tuple(
         replace(r, primal_morse_ok=False) if r.n in (3, 5) else r
@@ -227,13 +241,13 @@ def test_cli_report_names_each_failing_row(capsys, monkeypatch):
         assert main(argv) == 0
         passing = capsys.readouterr().out
 
-        def broken_primal(table, matching):
-            side = check_matching_side(table, matching)
+        def broken_primal(table, matching, primal=None):
+            report, violations, numbers = check_matching(table, matching, primal)
             if table.n in (3, 5) and not matching.dual:
-                return replace(side, violations=("forced",))
-            return side
+                return report, ("forced",), numbers
+            return report, violations, numbers
 
-        monkeypatch.setattr("hcomplex.reports.check_matching_side", broken_primal)
+        monkeypatch.setattr("hcomplex.reports.check_matching", broken_primal)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "falsified: n=3: primalMorseOk\nfalsified: n=5: primalMorseOk\n"

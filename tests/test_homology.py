@@ -352,6 +352,17 @@ def test_signed_chain_validation():
     assert len(z) == 1 and not z.is_zero()
 
 
+def test_a_signed_chain_keeps_its_terms_when_its_dict_changes():
+    # a 1-face added to the dict a 0-chain was built from stays out of it
+    d = {face_from_perm((2, 1, 3)): 1}
+    z = SignedChain(3, 0, d)
+    d[face_from_perm((3, 2, 1))] = 1
+    assert dict(z.coeffs) == {face_from_perm((2, 1, 3)): 1}
+    assert dict(boundary_of_chain(z).coeffs) == {face_from_perm((1, 2, 3)): 1}
+    with pytest.raises(TypeError):
+        z.coeffs[face_from_perm((3, 2, 1))] = 1
+
+
 def test_betti_rejects_unknown_coefficients(table):
     with pytest.raises(ValueError):
         betti_table(table(3), "F4")

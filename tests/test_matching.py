@@ -504,6 +504,86 @@ def test_primal_verifier_diagnoses_the_faces_it_is_given():
     assert verify_well_defined(t, dual).ok
 
 
+# -- the dual check: the primal one mirrored ----------------------------------
+
+
+def test_old_complemented_diagnosis_is_the_primal_one_mirrored(table, matching):
+    # the dual check used to diagnose both complemented words of each dual
+    # pair; each is the diagnosis of the mirrored face that the primal makes
+    for n in range(1, 9):
+        t = table(n)
+        words, last = t.words, len(t) - 1
+        for f in (f for f, g in enumerate(matching(n, True).partners) if g >= 0):
+            assert diagnose_word(complement_word(words[f])) == diagnose_word(words[last - f]), (n, f)
+
+
+def test_dual_check_with_its_primal_report_diagnoses_nothing(monkeypatch):
+    import hcomplex.matching as matching_module
+
+    t = enumerate_faces(6)
+    primal = verify_well_defined(t, build_matching(t))
+
+    def no_diagnosis(word):
+        raise AssertionError(f"diagnosed {word!r}")
+
+    monkeypatch.setattr(matching_module, "diagnose_word", no_diagnosis)
+    report = verify_well_defined(t, build_matching(t, dual=True), primal)
+    assert report.ok and report.pair_count == primal.pair_count
+
+
+def test_dual_pair_moved_onto_a_non_cover_fails(table, matching):
+    t = table(6)
+    partners = array("i", matching(6, True).partners)
+    f = next(f for f, g in enumerate(partners) if g >= 0)
+    g = partners[f]
+    h = next(
+        h for h, p in enumerate(partners)
+        if p < 0 and h not in t.lowers(f) and f not in t.lowers(h)
+    )
+    partners[f], partners[g], partners[h] = h, -1, f
+    for primal in (None, verify_well_defined(t, matching(6))):
+        violations = verify_well_defined(t, MatchingMap(6, True, partners), primal).violations
+        assert f"{min(f, h)}<->{max(f, h)}: not a cover pair" in violations
+        assert f"{f}<->{h}: not primal face {len(t) - 1 - f}'s pair relabelled" in violations
+
+
+def test_dual_differing_from_the_relabelled_primal_in_one_pair_fails(table, matching):
+    # an unpaired dual pair leaves an involution on cover pairs: only M1 sees it
+    t = table(6)
+    last = len(t) - 1
+    partners = array("i", matching(6, True).partners)
+    f = next(f for f, g in enumerate(partners) if g >= 0)
+    g = partners[f]
+    partners[f] = partners[g] = -1
+    report = verify_well_defined(t, MatchingMap(6, True, partners))
+    assert not report.ok
+    assert report.violations == tuple(
+        f"{x}<->-1: not primal face {last - x}'s pair relabelled" for x in sorted((f, g))
+    )
+
+
+def test_two_swapped_words_break_the_complement_mirror():
+    t = enumerate_faces(5)
+    primal = verify_well_defined(t, build_matching(t))
+    dual = build_matching(t, dual=True)
+    t.words[1], t.words[2] = t.words[2], t.words[1]
+    report = verify_well_defined(t, dual, primal)
+    assert report.violations == tuple(
+        f"word {f} complemented is not word {119 - f}" for f in (1, 2, 117, 118)
+    )
+    assert not verify_well_defined(t, dual).ok
+
+
+def test_a_failed_primal_report_fails_the_dual(table, matching):
+    from dataclasses import replace
+
+    t = table(5)
+    primal = verify_well_defined(t, matching(5))
+    assert verify_well_defined(t, matching(5, True), primal).ok
+    report = verify_well_defined(t, matching(5, True), replace(primal, ok=False))
+    assert report.violations == ("the primal matching it mirrors is not well defined",)
+
+
 def test_cleared_pairs_leave_later_matchings_unchanged():
     t = enumerate_faces(5)
     primal, dual = build_matching(t), build_matching(t, dual=True)

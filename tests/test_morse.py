@@ -199,12 +199,11 @@ def test_morse_inequalities(table, matching):
 
 def test_conjecture_row_checks_morse_inequalities(monkeypatch):
     # Morse numbers of zero cannot bound the non-zero Betti numbers
-    def all_zero(table, matching):
-        numbers = MorseNumbers(table.n, matching.dual, (0,) * table.n)
-        return reports.MatchingSide((), numbers, True, "")
+    def all_zero(table, matching, primal=None):
+        return None, (), MorseNumbers(table.n, matching.dual, (0,) * table.n)
 
     assert reports.conjecture_row(5).verdict == "PASS"
-    monkeypatch.setattr(reports, "check_matching_side", all_zero)
+    monkeypatch.setattr(reports, "check_matching", all_zero)
     row = reports.conjecture_row(5)
     assert not row.primal_morse_ok and not row.dual_morse_ok
     assert row.verdict == "FAIL"

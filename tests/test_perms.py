@@ -70,6 +70,32 @@ def test_from_word_rejects_what_is_not_a_sentinel_word():
             BarredFace.from_word(n, bytes(word))
 
 
+@pytest.mark.parametrize(
+    "n, word, message",
+    [
+        (0, b"", "n must be between 1 and 254 (one byte per letter), got 0"),
+        (255, bytes(257), "n must be between 1 and 254 (one byte per letter), got 255"),
+        (2, b"\0\2\1", "not a permutation of 0..3: [0, 2, 1]"),
+        (2, b"\0\1\1\3", "not a permutation of 0..3: [0, 1, 1, 3]"),
+        (2, b"\0\5\1\3", "not a permutation of 0..3: [0, 5, 1, 3]"),
+        (1, b"\0\1\2\3", "not a permutation of 0..2: [0, 1, 2, 3]"),
+        (2, b"\1\0\2\3", "sentinels must be 0 and 3: [1, 0, 2, 3]"),
+        (2, b"\0\2\3\1", "sentinels must be 0 and 3: [0, 2, 3, 1]"),
+    ],
+)
+def test_from_word_names_what_is_wrong(n, word, message):
+    # one test of the whole word, then the message each check gave on its own
+    with pytest.raises(ValueError) as exc:
+        BarredFace.from_word(n, word)
+    assert str(exc.value) == message
+
+
+def test_a_face_hashes_as_its_word():
+    for f in all_faces(4):
+        assert hash(f) == hash(f.word)
+    assert len({face_from_perm((2, 1)), face_from_perm((2, 1)), face_from_perm((1, 2))}) == 2
+
+
 def test_from_word_equals_the_blocks_constructor_exhaustively():
     for n in range(1, 7):
         for core in permutations(range(1, n + 1)):

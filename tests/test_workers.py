@@ -66,6 +66,22 @@ def test_worker_on_and_off_give_the_same_results(n, monkeypatch):
     _no_child_left()
 
 
+def test_the_cover_scan_splits_where_half_the_covers_lie(worker_on, monkeypatch):
+    seen = []
+    split = workers.split
+
+    def spy(stage, size, scan, mid):
+        seen.append((stage, size, mid))
+        return split(stage, size, scan, mid)
+
+    monkeypatch.setattr(workers, "split", spy)
+    offsets, _ = enumerate_faces(6).cover_incidence()
+    ((stage, size, mid),) = seen
+    assert (stage, size) == ("cover_incidence", 720)
+    assert offsets[mid - 1] < offsets[-1] // 2 <= offsets[mid]
+    _no_child_left()
+
+
 @pytest.mark.parametrize("worker", ["worker_on", "worker_off"])
 def test_a_row_runs_its_smith_forms_on_its_own_table_without_words(
     worker, request, monkeypatch, tmp_path
