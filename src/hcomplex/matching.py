@@ -11,7 +11,7 @@ The dual matching applies the same rules to the order-reversed structure
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
 word.  Complement reverses the lex order of face ids, so the dual pairs are
 the primal ones relabelled f -> n!-1-f, and ``verify_well_defined`` checks
-them as that mirror of the primal check.  ``critical_faces`` reads dual runs.
+them as that mirror of the primal check.
 
 A ``MatchingMap`` is an ``array('i')`` of partner ids, ``pairs`` a new dict
 of them.  Whatever reads a matching against a table calls ``check_table``
@@ -165,11 +165,8 @@ def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
-    """Unmatched face ids by dimension.
-
-    Checks the structural fingerprint of criticality on the word: primal
-    critical faces have no increasing run longer than 3 letters (no block
-    longer than 3), dual critical faces no decreasing run longer than 3.
+    """Unmatched face ids by dimension, read off the bars and partner ids
+    alone; ``verify_well_defined`` checks the critical words.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -178,19 +175,15 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     """
     check_table(table, matching)
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
-    words, bars = table._words(), table.bars
-    run, kind = (b"\1\1\1", "decreasing") if matching.dual else (b"\0\0\0", "increasing")
+    bars = table.bars
     for fid in compress(count(), map((0).__gt__, matching.partners)):
-        w = words[fid]
         out[bars[fid] - 1].append(fid)
-        if run in bytes(map(gt, w, w[1:])):  # 1 at each descent
-            raise AssertionError(f"critical face {fid} {list(w)} has a run > 3 ({kind})")
     return out
 
 
 @dataclass(frozen=True)
 class MatchingReport:
-    """Outcome of the well-definedness verification."""
+    """Outcome of the well-definedness check; ``partners`` is the array it checked."""
 
     n: int
     dual: bool
@@ -198,6 +191,7 @@ class MatchingReport:
     pair_count: int
     critical_count: int
     violations: tuple[str, ...] = ()
+    partners: array | None = field(default=None, compare=False, repr=False)
 
 
 def verify_well_defined(
@@ -207,15 +201,19 @@ def verify_well_defined(
     transposition apart whose members share their lowest matchable rank with
     inverse types (one-split with one-merged, two-merged with two-split).
 
-    A primal matching is checked pair by pair on the words; a dual one as the
-    mirror of ``build_matching(table)``, whose report is ``primal`` (checked
-    here when not given): the involution and cover pairs on its own pairs,
-    then (M1) ``partners[f] == N-1-p[N-1-f]`` for the primal ids p, -1 kept,
-    and (M2) ``complement_word(words[f]) == words[N-1-f]``.  By M2 and M1 the
-    complemented words of a dual pair are a primal pair's, whose diagnoses,
-    ranks and types the primal check compared; complement maps letters to
-    letters bijectively, so it keeps adjacent swaps adjacent.  A failed
-    primal report fails the dual one.
+    A primal matching is checked pair by pair on the words, and each critical
+    word for a block longer than 3 letters; a dual one as the mirror of
+    ``build_matching(table)``, whose report is ``primal`` (checked here when
+    not given): the involution and cover pairs on its own pairs, then (M1)
+    ``partners[f] == N-1-p[N-1-f]`` for the ids p that report checked, -1
+    kept, and (M2) ``complement_word(words[f]) == words[N-1-f]``.  By M2 and
+    M1 the complemented words of a dual pair are a primal pair's, whose
+    diagnoses, ranks and types the primal check compared; complement maps
+    letters to letters bijectively, so it keeps adjacent swaps adjacent.
+    By M1 f is dual critical exactly when N-1-f is primal critical, and by M2
+    its word complemented is that face's, whose blocks the primal check bounded.
+    A failed primal report, or one holding no primal ids of this table, fails
+    the dual one.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -228,16 +226,20 @@ def verify_well_defined(
     words, bars = table._words(), table.bars
     offsets, lowers = table.cover_incidence()
     if matching.dual:
-        if not (primal or verify_well_defined(table, build_matching(table))).ok:
+        primal = primal or verify_well_defined(table, build_matching(table))
+        ids, last, n = primal.partners, size - 1, table.n
+        if not primal.ok or ids is None or len(ids) != size:
             violations.append("the primal matching it mirrors is not well defined")
-        last, n = size - 1, table.n
-        primal_ids = table._partners or build_matching(table).partners
-        for f in compress(count(), map(ne, partners, _relabelled(primal_ids))):
+        for f in compress(count(), map(ne, partners, _relabelled(ids or ()))):
             violations.append(f"{f}<->{partners[f]}: not primal face {last - f}'s pair relabelled")
         flip = bytes.maketrans(bytes(range(1, n + 1)), bytes(range(n, 0, -1)))
         unlike = map(bytes.__ne__, map(bytes.translate, words, repeat(flip)), reversed(words))
         for f in compress(count(), unlike):
             violations.append(f"word {f} complemented is not word {last - f}")
+    else:
+        for fid in compress(count(), map((0).__gt__, partners)):
+            if b"\0\0\0" in bytes(map(gt, w := words[fid], w[1:])):  # 1 at each descent
+                violations.append(f"critical face {fid} {list(w)} has a block longer than 3")
     for fid in compress(count(), map((-1).__lt__, partners)):
         gid = partners[fid]
         if gid >= size or partners[gid] != fid or gid == fid:
@@ -267,4 +269,4 @@ def verify_well_defined(
         violations.append("odd number of matched faces")
     matched = matching.matched
     return MatchingReport(table.n, matching.dual, not violations, matched // 2,
-                          len(table) - matched, tuple(violations[:20]))
+                          len(table) - matched, tuple(violations[:20]), partners)

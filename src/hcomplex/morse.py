@@ -42,11 +42,12 @@ class MorseDigraph:
 def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     """Orient the Hasse diagram: matched covers up, all others down.
 
-    A face u covering l gives the arc l -> u when l's partner is u, and
-    u -> l otherwise.  Node v lists its arcs in the order a walk over the
-    uppers in id order, each over its covers in bar order, meets them: its
-    down arcs in bar order, with its up arc, to p, before them when p < v
-    and after them when p > v.
+    The matching is one ``verify_well_defined`` accepts, so its pairs are
+    cover pairs: a face u covering l gives the arc l -> u when l's partner
+    is u, and u -> l otherwise.  Node v lists its arcs in the order a walk
+    over the uppers in id order, each over its covers in bar order, meets
+    them: its down arcs in bar order, with its up arc, to p, before them
+    when p < v and after them when p > v.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -59,17 +60,13 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     offsets, lowers = table.cover_incidence()
     partners = matching.partners
     up = array("i", [-1]) * len(partners)  # the head of each node's up arc
-    into = bytearray(len(partners))  # the number of up arcs into each node
-    index, bars = lowers.index, table.bars
+    into = bytearray(len(partners))  # 1 where an up arc points into the node
+    bars = table.bars
     for v in compress(count(), map((-1).__lt__, partners)):
         p = partners[v]
-        if bars[p] > bars[v]:  # a face covers only faces with fewer bars
-            try:
-                index(v, offsets[p], offsets[p + 1])
-            except ValueError:
-                continue
+        if bars[p] > bars[v]:  # v is the lower face of its pair
             up[v] = p
-            into[p] += 1
+            into[p] = 1
     out_offsets, targets = array("i", [0]), array("i")
     append, extend, mark = targets.append, targets.extend, out_offsets.append
     lo = 0
@@ -196,7 +193,7 @@ class MorseNumbers:
 
 
 def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
-    """Count the unmatched faces per dimension that ``critical_faces`` checks.
+    """Count the unmatched faces per dimension that ``critical_faces`` lists.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching

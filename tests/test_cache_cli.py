@@ -168,6 +168,29 @@ def test_cli_falsification_exits_1(capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
+def test_cli_report_fails_a_row_whose_critical_face_has_a_long_block(capsys, monkeypatch):
+    from array import array
+
+    from hcomplex import reports
+    from hcomplex.matching import MatchingMap
+
+    build_matching = reports.build_matching
+
+    def unpairs_faces_0_and_1(table, dual=False):
+        m = build_matching(table, dual)
+        if table.n != 4 or dual:
+            return m
+        partners = array("i", m.partners)
+        partners[0] = partners[1] = -1  # words 012345 and 0124|35 at n = 4
+        return MatchingMap(table.n, dual, partners)
+
+    monkeypatch.setattr(reports, "build_matching", unpairs_faces_0_and_1)
+    assert main(["report", "--n-max", "4", "--format", "md"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "| 4 | {0,1} | {0,1} | FAIL | FAIL | ok | ok | ok | FAIL |"
+    assert "internal invariant" not in err and "n=4: primalMorseOk, dualMorseOk" in err
+
+
 def test_cli_worker_that_dies_is_a_resource_error(capsys, monkeypatch):
     import os
 

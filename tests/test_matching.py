@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from hcomplex.complexes import enumerate_faces
 from hcomplex.matching import (
     MatchingMap,
+    MatchingReport,
+    _is_adjacent_swap,
     build_matching,
     critical_faces,
     dual_partner,
@@ -580,8 +582,71 @@ def test_a_failed_primal_report_fails_the_dual(table, matching):
     t = table(5)
     primal = verify_well_defined(t, matching(5))
     assert verify_well_defined(t, matching(5, True), primal).ok
-    report = verify_well_defined(t, matching(5, True), replace(primal, ok=False))
-    assert report.violations == ("the primal matching it mirrors is not well defined",)
+    # a failed report, and an ok one holding no partner array to mirror
+    for bad in (replace(primal, ok=False), MatchingReport(5, False, True, 0, 0)):
+        report = verify_well_defined(t, matching(5, True), bad)
+        assert report.violations == ("the primal matching it mirrors is not well defined",)
+
+
+def test_the_dual_mirrors_the_ids_its_primal_report_checked():
+    # a critical face re-paired in table A's partner memo with a matched face
+    # one adjacent swap and one cover away: A's dual no longer mirrors the
+    # ids that table B's ok report checked
+    b = enumerate_faces(5)
+    b_report = verify_well_defined(b, build_matching(b))
+    assert b_report.ok
+    memo, words = b_report.partners, b.words
+    repairs = [
+        (c, m) for c in range(120) if memo[c] < 0 for m in b.lowers(c)
+        if memo[m] >= 0 and _is_adjacent_swap(words[c], words[m])
+    ]
+    assert len(repairs) == 20
+    for c, m in repairs:
+        a = enumerate_faces(5)
+        build_matching(a)
+        p = a._partners
+        p[p[m]], p[c], p[m] = -1, m, c
+        dual = build_matching(a, dual=True)
+        assert not verify_well_defined(a, dual).ok
+        report = verify_well_defined(a, dual, b_report)
+        assert f"{119 - c}<->{119 - m}: not primal face {c}'s pair relabelled" in report.violations
+
+
+# -- the critical-face rule: primal words only --------------------------------
+
+
+def test_a_critical_face_with_a_block_longer_than_3_is_a_violation(table, matching):
+    # faces 0 and 1 (words 012345 and 0124|35) are a primal pair at n = 4
+    t = table(4)
+    partners = array("i", matching(4).partners)
+    partners[0] = partners[1] = -1
+    unpaired = MatchingMap(4, False, partners)
+    report = verify_well_defined(t, unpaired)
+    assert report.violations == (
+        "critical face 0 [0, 1, 2, 3, 4, 5] has a block longer than 3",
+        "critical face 1 [0, 1, 2, 4, 3, 5] has a block longer than 3",
+    )
+    assert critical_faces(t, unpaired)[-1] == [0]  # a listing: it raises nothing
+    dual = verify_well_defined(t, matching(4, True), report)
+    assert dual.violations[0] == "the primal matching it mirrors is not well defined"
+
+
+def test_a_primal_pair_moved_onto_a_non_cover_fails(table, matching):
+    from hcomplex.reports import check_matching_side
+
+    t = table(6)
+    partners = array("i", matching(6).partners)
+    f = next(f for f, g in enumerate(partners) if g >= 0)
+    g = partners[f]
+    h = next(
+        h for h, p in enumerate(partners)
+        if p < 0 and h not in t.lowers(f) and f not in t.lowers(h)
+    )
+    partners[f], partners[g], partners[h] = h, -1, f
+    moved = MatchingMap(6, False, partners)
+    violation = f"{min(f, h)}<->{max(f, h)}: not a cover pair"
+    assert violation in verify_well_defined(t, moved).violations
+    assert violation in check_matching_side(t, moved).violations
 
 
 def test_cleared_pairs_leave_later_matchings_unchanged():

@@ -27,7 +27,7 @@ from hcomplex.complexes import (
 )
 from hcomplex.homology import invariant_factors
 from hcomplex.matching import build_matching, critical_faces, verify_well_defined
-from hcomplex.morse import build_digraph
+from hcomplex.morse import build_digraph, morse_numbers
 from hcomplex.perms import face_from_perm
 from hcomplex.reports import face_table_payload
 
@@ -134,14 +134,13 @@ def test_every_word_reader_of_a_released_table_raises_one_value_error(built):
     if built:
         t.cover_incidence()
     t.release_words()
-    checks = (critical_faces, verify_well_defined)
     readers = [
         lambda: covers_down(t, 5),
         lambda: build_matching(t),
         lambda: build_matching(t, dual=True),
         lambda: face_table_payload(t),
         lambda: is_free_face(t, face_from_perm((1, 2, 4, 3))),
-        *(partial(check, t, m) for m in matchings for check in checks),
+        *(partial(verify_well_defined, t, m) for m in matchings),
     ]
     if not built:
         readers.append(t.cover_incidence)
@@ -154,6 +153,16 @@ def test_every_word_reader_of_a_released_table_raises_one_value_error(built):
         assert t.cover_incidence() == whole.cover_incidence()
         assert invariant_factors(t, 1) == invariant_factors(whole, 1)
         assert build_digraph(t, matchings[0]) == build_digraph(whole, build_matching(whole))
+
+
+def test_critical_faces_and_morse_numbers_read_no_words():
+    # both read only the bars and the partner ids, which a released table keeps
+    t, whole = enumerate_faces(5), enumerate_faces(5)
+    matchings = [build_matching(t, dual=d) for d in (False, True)]
+    t.release_words()
+    for m in matchings:
+        assert critical_faces(t, m) == critical_faces(whole, m)
+        assert morse_numbers(t, m) == morse_numbers(whole, m)
 
 
 def test_f_vector_builds_no_id_lists():

@@ -25,6 +25,7 @@ MORSE_PRIMAL = {
     4: (0, 5, 6, 1),
     5: (0, 0, 29, 14, 1),
     6: (0, 0, 113, 149, 37, 1),
+    7: (0, 0, 169, 952, 600, 90, 1),
     8: (0, 0, 0, 4330, 6403, 2277, 205, 1),
 }
 
@@ -52,9 +53,9 @@ def list_built_out(t, m):
 def test_digraph_arcs_equal_the_list_built_out_lists(table, matching):
     for n in range(1, 7):
         t = table(n)
-        # any partner array orients the same way: here each face picks a
-        # random cover or none, so some faces have several covers matched
-        # up into them
+        # any partner array of cover pairs orients the same way: here each
+        # face picks a random cover or none, so some faces have several
+        # covers matched up into them
         rng = random.Random(n)
         uppers = [[] for _ in range(len(t))]
         for u in range(len(t)):
