@@ -30,7 +30,8 @@ from .reports import (
     RENDER_FORMATS,
     ConjectureReport,
     betti_payload,
-    check_matching_side,
+    certify_acyclic,
+    check_matching,
     conjecture_row,
     face_table_payload,
     matching_payload,
@@ -103,12 +104,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_morse(args: argparse.Namespace) -> int:
     table = _table(args, args.n)
-    side = check_matching_side(table, build_matching(table, dual=args.dual), digest=True)
-    if side.violations:
-        raise Falsification(f"matching or Morse numbers: {side.violations[:3]}")
-    if not side.acyclic:
+    matching = build_matching(table, dual=args.dual)
+    _, violations, numbers = check_matching(table, matching)
+    if violations:
+        raise Falsification(f"matching or Morse numbers: {violations[:3]}")
+    acyclic, digest = certify_acyclic(table, matching, digest=True)
+    if not acyclic:
         raise Falsification("matching digraph not certified acyclic")
-    payload = morse_payload(side)
+    payload = morse_payload(numbers, acyclic, digest)
     _emit(render_morse_csv(payload) if args.format == "csv" else _json(payload), args.out)
     return 0
 

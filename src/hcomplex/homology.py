@@ -196,7 +196,8 @@ def check_betti_symmetry(bt: BettiTable) -> bool:
 
 @frozen_slots
 class SignedChain:
-    """An integer chain: faces of one dimension with non-zero coefficients (a read-only copy)."""
+    """An integer chain: faces of one dimension with non-zero coefficients,
+    given as a mapping or as (face, coefficient) pairs (a read-only copy)."""
 
     n: int
     dim: int
@@ -239,6 +240,7 @@ def boundary_of_chain(chain: SignedChain) -> SignedChain:
         labels = block_labels(face.word)
         for i, key in enumerate(map(labels.translate, merges)):
             acc[key] = acc.get(key, 0) + (-c if i & 1 else c)
-    n = chain.n
-    words = {bytes(sorted(range(n + 2), key=key.__getitem__)): v for key, v in acc.items() if v}
-    return SignedChain(n, chain.dim - 1, {BarredFace.from_word(n, w): v for w, v in words.items()})
+    n, letters = chain.n, range(chain.n + 2)
+    terms = ((BarredFace.from_word(n, bytes(sorted(letters, key=key.__getitem__))), v)
+             for key, v in acc.items() if v)
+    return SignedChain(n, chain.dim - 1, terms)

@@ -10,8 +10,10 @@ The dual matching applies the same rules to the order-reversed structure
 (maximal decreasing runs, bars at ascents): the complemented word
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
 word.  Complement reverses the lex order of face ids, so the dual pairs are
-the primal ones relabelled f -> n!-1-f, and ``verify_well_defined`` checks
-them as that mirror of the primal check.
+the primal ones relabelled f -> n!-1-f.  ``verify_well_defined`` checks the
+primal pairs on the words and the dual only as that mirror: complement maps
+each cover pair one adjacent swap apart to a cover pair, so the primal
+check's facts carry over.
 
 A ``MatchingMap`` is an ``array('i')`` of partner ids, ``pairs`` a new dict
 of them.  Whatever reads a matching against a table calls ``check_table``
@@ -165,8 +167,9 @@ def _partner_span(table: FaceTable, lo: int, hi: int) -> array:
 
 
 def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[int]]:
-    """Unmatched face ids by dimension, read off the bars and partner ids
-    alone; ``verify_well_defined`` checks the critical words.
+    """The ids whose partner is -1, by dimension, read off the bars and
+    partner ids alone; ``verify_well_defined`` checks the critical words and
+    reports any other id outside the table.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -176,7 +179,7 @@ def critical_faces(table: FaceTable, matching: MatchingMap) -> dict[int, list[in
     check_table(table, matching)
     out: dict[int, list[int]] = {d: [] for d in range(-1, table.n - 1)}
     bars = table.bars
-    for fid in compress(count(), map((0).__gt__, matching.partners)):
+    for fid in compress(count(), map((-1).__eq__, matching.partners)):
         out[bars[fid] - 1].append(fid)
     return out
 
@@ -201,19 +204,18 @@ def verify_well_defined(
     transposition apart whose members share their lowest matchable rank with
     inverse types (one-split with one-merged, two-merged with two-split).
 
-    A primal matching is checked pair by pair on the words, and each critical
-    word for a block longer than 3 letters; a dual one as the mirror of
+    A primal matching is checked pair by pair on the words, each id outside
+    -1..N-1 reported, and each critical word for a block longer than 3
+    letters.  A dual one is checked only as the mirror of
     ``build_matching(table)``, whose report is ``primal`` (checked here when
-    not given): the involution and cover pairs on its own pairs, then (M1)
-    ``partners[f] == N-1-p[N-1-f]`` for the ids p that report checked, -1
-    kept, and (M2) ``complement_word(words[f]) == words[N-1-f]``.  By M2 and
-    M1 the complemented words of a dual pair are a primal pair's, whose
-    diagnoses, ranks and types the primal check compared; complement maps
-    letters to letters bijectively, so it keeps adjacent swaps adjacent.
-    By M1 f is dual critical exactly when N-1-f is primal critical, and by M2
-    its word complemented is that face's, whose blocks the primal check bounded.
-    A failed primal report, or one holding no primal ids of this table, fails
-    the dual one.
+    not given): that report ok on the ids p it checked, (M1)
+    ``partners[f] == N-1-p[N-1-f]``, -1 kept, and (M2)
+    ``complement_word(words[f]) == words[N-1-f]``.  That is all: if u covers
+    l one adjacent swap apart at p, p+1, then D(l) = D(u) minus {p}, so
+    complement gives D(c(l)) = D(c(u)) plus {p} with c(u) and c(l) differing
+    at p, p+1 alone; c(u) is then ``erase_bar(c(l), p)``, and c(l) covers
+    c(u).  So by M1 and M2 every dual pair is a primal pair complemented: a
+    cover pair, with the primal diagnoses, ranks, types and critical words.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -223,8 +225,7 @@ def verify_well_defined(
     check_table(table, matching)
     violations: list[str] = []
     partners, size = matching.partners, len(matching.partners)
-    words, bars = table._words(), table.bars
-    offsets, lowers = table.cover_incidence()
+    words = table._words()
     if matching.dual:
         primal = primal or verify_well_defined(table, build_matching(table))
         ids, last, n = primal.partners, size - 1, table.n
@@ -237,36 +238,38 @@ def verify_well_defined(
         for f in compress(count(), unlike):
             violations.append(f"word {f} complemented is not word {last - f}")
     else:
-        for fid in compress(count(), map((0).__gt__, partners)):
+        bars = table.bars
+        offsets, lowers = table.cover_incidence()
+        for fid in compress(count(), map((-1).__eq__, partners)):
             if b"\0\0\0" in bytes(map(gt, w := words[fid], w[1:])):  # 1 at each descent
                 violations.append(f"critical face {fid} {list(w)} has a block longer than 3")
-    for fid in compress(count(), map((-1).__lt__, partners)):
-        gid = partners[fid]
-        if gid >= size or partners[gid] != fid or gid == fid:
-            violations.append(f"{fid}<->{gid}: not a fixed-point-free involution")
-            continue
-        if fid > gid:
-            continue  # handle each pair once
-        lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
-        try:
-            lowers.index(lower, offsets[upper], offsets[upper + 1])
-        except ValueError:
-            violations.append(f"{fid}<->{gid}: not a cover pair")
-        if matching.dual:
-            continue  # M1 and M2 carry the rest over from the primal check
-        if not _is_adjacent_swap(words[fid], words[gid]):
-            violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-        df, dg = diagnose_word(words[fid]), diagnose_word(words[gid])
-        if df is None or dg is None:
-            violations.append(f"{fid}<->{gid}: matched face has no matchable block")
-            continue
-        (_, rank_f, kind_f, _), (_, rank_g, kind_g, _) = df, dg
-        if rank_f != rank_g:
-            violations.append(f"{fid}<->{gid}: ranks differ ({rank_f} vs {rank_g})")
-        if _PAIRED_KIND[kind_f] is not kind_g:
-            violations.append(f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse")
-    if matching.matched % 2:
-        violations.append("odd number of matched faces")
+        for fid in compress(count(), map((-1).__ne__, partners)):
+            gid = partners[fid]
+            if not 0 <= gid < size:
+                violations.append(f"{fid}<->{gid}: not a face id or -1")
+                continue
+            if partners[gid] != fid or gid == fid:
+                violations.append(f"{fid}<->{gid}: not a fixed-point-free involution")
+                continue
+            if fid > gid:
+                continue  # handle each pair once
+            lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
+            try:
+                lowers.index(lower, offsets[upper], offsets[upper + 1])
+            except ValueError:
+                violations.append(f"{fid}<->{gid}: not a cover pair")
+            if not _is_adjacent_swap(words[fid], words[gid]):
+                violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
+            df, dg = diagnose_word(words[fid]), diagnose_word(words[gid])
+            if df is None or dg is None:
+                violations.append(f"{fid}<->{gid}: matched face has no matchable block")
+                continue
+            (_, rank_f, kind_f, _), (_, rank_g, kind_g, _) = df, dg
+            if rank_f != rank_g:
+                violations.append(f"{fid}<->{gid}: ranks differ ({rank_f} vs {rank_g})")
+            if _PAIRED_KIND[kind_f] is not kind_g:
+                violations.append(
+                    f"{fid}<->{gid}: types {kind_f.value} and {kind_g.value} not inverse")
     matched = matching.matched
     return MatchingReport(table.n, matching.dual, not violations, matched // 2,
                           len(table) - matched, tuple(violations[:20]), partners)

@@ -44,10 +44,11 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
 
     The matching is one ``verify_well_defined`` accepts, so its pairs are
     cover pairs: a face u covering l gives the arc l -> u when l's partner
-    is u, and u -> l otherwise.  Node v lists its arcs in the order a walk
-    over the uppers in id order, each over its covers in bar order, meets
-    them: its down arcs in bar order, with its up arc, to p, before them
-    when p < v and after them when p > v.
+    is u, and u -> l otherwise.  An id outside the table adds no arc, so
+    every partner array gives a digraph.  Node v lists its arcs in the order
+    a walk over the uppers in id order, each over its covers in bar order,
+    meets them: its down arcs in bar order, with its up arc, to p, before
+    them when p < v and after them when p > v.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -62,7 +63,7 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     up = array("i", [-1]) * len(partners)  # the head of each node's up arc
     into = bytearray(len(partners))  # 1 where an up arc points into the node
     bars = table.bars
-    for v in compress(count(), map((-1).__lt__, partners)):
+    for v in compress(count(), map(range(len(partners)).__contains__, partners)):
         p = partners[v]
         if bars[p] > bars[v]:  # v is the lower face of its pair
             up[v] = p
@@ -193,7 +194,8 @@ class MorseNumbers:
 
 
 def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
-    """Count the unmatched faces per dimension that ``critical_faces`` lists.
+    """Count the faces per dimension that ``critical_faces`` lists, those
+    whose partner is -1; the other ids, in range or not, are matched ones.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -204,8 +206,6 @@ def morse_numbers(table: FaceTable, matching: MatchingMap) -> MorseNumbers:
     (1, 3, 0)
     """
     counts = tuple(len(ids) for ids in critical_faces(table, matching).values())
-    if matching.matched + sum(counts) != len(table):
-        raise AssertionError("matched pairs and critical faces do not tile the table")
     return MorseNumbers(table.n, matching.dual, counts)
 
 

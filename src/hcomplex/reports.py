@@ -81,26 +81,6 @@ def matching_payload(table: FaceTable, matching: MatchingMap) -> dict:
     return {"n": table.n, "dual": matching.dual, "pairs": pairs, "critical": critical}
 
 
-@frozen_slots
-class MatchingSide:
-    """One matching, checked: well-definedness and threshold failures, Morse
-    numbers, whether the digraph certificate is acyclic and re-checks, and
-    the certificate's digest when it was asked for (None otherwise)."""
-
-    violations: tuple[str, ...]
-    numbers: MorseNumbers
-    acyclic: bool
-    digest: str | None
-
-
-def check_matching_side(
-    table: FaceTable, matching: MatchingMap, digest: bool = False
-) -> MatchingSide:
-    """Run every check of one matching; ``morse`` alone asks for the digest."""
-    _, violations, numbers = check_matching(table, matching)
-    return MatchingSide(violations, numbers, *certify_acyclic(table, matching, digest))
-
-
 def check_matching(
     table: FaceTable, matching: MatchingMap, primal: MatchingReport | None = None
 ) -> tuple[MatchingReport, tuple[str, ...], MorseNumbers]:
@@ -118,14 +98,14 @@ def certify_acyclic(table: FaceTable, matching: MatchingMap, digest: bool = Fals
     return cert.acyclic and verify_certificate(g, cert), cert.digest() if digest else None
 
 
-def morse_payload(side: MatchingSide) -> dict:
+def morse_payload(numbers: MorseNumbers, acyclic: bool, digest: str | None) -> dict:
     """Export {n, dual, m, acyclic, certificateDigest}; m is keyed by dimension."""
     return {
-        "n": side.numbers.n,
-        "dual": side.numbers.dual,
-        "m": {str(d - 1): c for d, c in enumerate(side.numbers.m)},
-        "acyclic": side.acyclic,
-        "certificateDigest": side.digest,
+        "n": numbers.n,
+        "dual": numbers.dual,
+        "m": {str(d - 1): c for d, c in enumerate(numbers.m)},
+        "acyclic": acyclic,
+        "certificateDigest": digest,
     }
 
 

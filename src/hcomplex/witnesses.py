@@ -116,17 +116,22 @@ def cycle_witness(n: int, k: int) -> SignedChain:
     """
     spec = witness_spec(n, k)
     core, gens = list(spec.free_face.word[1:-1]), spec.generators
-    coeffs: dict[BarredFace, int] = {}
     subsets = chain.from_iterable(combinations(gens, size) for size in range(len(gens) + 1))
-    for count, subset in enumerate(subsets, 1):
-        perm = core[:]
-        for p, q in subset:
-            perm[p], perm[q] = perm[q], perm[p]
-        face = face_from_perm(perm)
-        coeffs[face] = -1 if len(subset) % 2 else 1
-        if face.dim != k or len(coeffs) != count:  # one hash per term: a repeat adds none
-            raise AssertionError(f"swap term {face!r} is repeated or not of dimension {k}")
-    return SignedChain(n, k, coeffs)
+
+    def terms():
+        for subset in subsets:
+            perm = core[:]
+            for p, q in subset:
+                perm[p], perm[q] = perm[q], perm[p]
+            face = face_from_perm(perm)
+            if face.dim != k:
+                raise AssertionError(f"swap term {face!r} is not of dimension {k}")
+            yield face, -1 if len(subset) % 2 else 1
+
+    z = SignedChain(n, k, terms())
+    if len(z) != 2 ** (k + 1):  # a repeat adds no term
+        raise AssertionError(f"a swap term of the {k}-witness for n = {n} is repeated")
+    return z
 
 
 def has_local_parent(face: BarredFace) -> bool:

@@ -191,6 +191,30 @@ def test_cli_report_fails_a_row_whose_critical_face_has_a_long_block(capsys, mon
     assert "internal invariant" not in err and "n=4: primalMorseOk, dualMorseOk" in err
 
 
+@pytest.mark.parametrize("bad", [-2, 24])
+def test_cli_report_fails_a_row_with_a_partner_id_outside_the_table(capsys, monkeypatch, bad):
+    from array import array
+
+    from hcomplex import reports
+    from hcomplex.matching import MatchingMap
+
+    build_matching = reports.build_matching
+
+    def sets_partner_2(table, dual=False):
+        m = build_matching(table, dual)
+        if table.n != 4 or dual:
+            return m
+        partners = array("i", m.partners)
+        partners[2] = bad  # a critical face at n = 4
+        return MatchingMap(table.n, dual, partners)
+
+    monkeypatch.setattr(reports, "build_matching", sets_partner_2)
+    assert main(["report", "--n-max", "4", "--format", "md"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "| 4 | {0,1} | {0,1} | FAIL | FAIL | ok | ok | ok | FAIL |"
+    assert "internal invariant" not in err and "n=4: primalMorseOk, dualMorseOk" in err
+
+
 def test_cli_worker_that_dies_is_a_resource_error(capsys, monkeypatch):
     import os
 

@@ -25,7 +25,7 @@ from hcomplex.morse import (
     morse_inequalities,
     morse_numbers,
 )
-from hcomplex.reports import ConjectureReport, check_matching_side, conjecture_row
+from hcomplex.reports import ConjectureReport, conjecture_row
 from hcomplex.witnesses import cycle_witness, verify_witness, witness_spec
 
 T = enumerate_faces(4)
@@ -45,7 +45,6 @@ INSTANCES = {
     "SignedChain": lambda: cycle_witness(7, 1),
     "WitnessSpec": lambda: witness_spec(7, 1),
     "WitnessReport": lambda: verify_witness(7, 1),
-    "MatchingSide": lambda: check_matching_side(T, M),
     "ConjectureRow": lambda: conjecture_row(3),
     "ConjectureReport": lambda: ConjectureReport((conjecture_row(3),)),
 }

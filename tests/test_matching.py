@@ -543,10 +543,40 @@ def test_dual_pair_moved_onto_a_non_cover_fails(table, matching):
         if p < 0 and h not in t.lowers(f) and f not in t.lowers(h)
     )
     partners[f], partners[g], partners[h] = h, -1, f
+    last = len(t) - 1
     for primal in (None, verify_well_defined(t, matching(6))):
-        violations = verify_well_defined(t, MatchingMap(6, True, partners), primal).violations
-        assert f"{min(f, h)}<->{max(f, h)}: not a cover pair" in violations
-        assert f"{f}<->{h}: not primal face {len(t) - 1 - f}'s pair relabelled" in violations
+        report = verify_well_defined(t, MatchingMap(6, True, partners), primal)
+        # M1 alone fails it: the dual check no longer looks pairs up as covers
+        assert not report.ok
+        assert report.violations == tuple(
+            f"{x}<->{partners[x]}: not primal face {last - x}'s pair relabelled"
+            for x in sorted((f, g, h))
+        )
+        assert not any("not a cover pair" in v for v in report.violations)
+
+
+def test_dual_check_with_its_primal_report_reads_no_incidence(monkeypatch):
+    t = enumerate_faces(6)
+    primal = verify_well_defined(t, build_matching(t))
+
+    def no_incidence():
+        raise AssertionError("read the cover incidence")
+
+    monkeypatch.setattr(t, "cover_incidence", no_incidence)
+    report = verify_well_defined(t, build_matching(t, dual=True), primal)
+    assert report.ok and report.pair_count == primal.pair_count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complement_maps_exactly_the_adjacent_swap_covers_to_covers(table, n):
+    # the lemma the dual check rests on: u covers l one adjacent swap apart
+    # exactly when N-1-l covers N-1-u; no other cover is mapped to a cover
+    t = table(n)
+    words, last = t.words, len(t) - 1
+    offsets, lowers = t.cover_incidence()
+    covers = {(u, l) for u in range(len(t)) for l in lowers[offsets[u]:offsets[u + 1]]}
+    for u, l in covers:
+        assert ((last - l, last - u) in covers) == _is_adjacent_swap(words[u], words[l]), (u, l)
 
 
 def test_dual_differing_from_the_relabelled_primal_in_one_pair_fails(table, matching):
@@ -632,7 +662,7 @@ def test_a_critical_face_with_a_block_longer_than_3_is_a_violation(table, matchi
 
 
 def test_a_primal_pair_moved_onto_a_non_cover_fails(table, matching):
-    from hcomplex.reports import check_matching_side
+    from hcomplex.reports import check_matching
 
     t = table(6)
     partners = array("i", matching(6).partners)
@@ -646,7 +676,56 @@ def test_a_primal_pair_moved_onto_a_non_cover_fails(table, matching):
     moved = MatchingMap(6, False, partners)
     violation = f"{min(f, h)}<->{max(f, h)}: not a cover pair"
     assert violation in verify_well_defined(t, moved).violations
-    assert violation in check_matching_side(t, moved).violations
+    assert violation in check_matching(t, moved)[1]
+
+
+# -- partner ids outside the table: violations, never exceptions --------------
+
+
+@pytest.mark.parametrize("face, bad", [(2, -2), (2, 24), (3, -3), (3, 24)])
+def test_a_partner_id_outside_the_table_is_a_violation(table, matching, face, bad):
+    # at n = 4 face 2 is critical and face 3 is paired with face 13
+    from hcomplex.morse import morse_numbers
+    from hcomplex.reports import check_matching
+
+    t = table(4)
+    partners = array("i", matching(4).partners)
+    assert (partners[2], partners[3]) == (-1, 13)
+    partners[face] = bad
+    bad_matching = MatchingMap(4, False, partners)
+    report, violations, numbers = check_matching(t, bad_matching)
+    expected = (f"{face}<->{bad}: not a face id or -1",)
+    if face == 3:
+        expected += ("13<->3: not a fixed-point-free involution",)
+    assert not report.ok and report.violations == expected
+    assert violations[:len(expected)] == expected
+    assert numbers == morse_numbers(t, bad_matching)  # lists and counts the -1 ids alone
+    assert sum(numbers.m) == partners.count(-1) == len(t) - bad_matching.matched
+    dual = verify_well_defined(t, matching(4, True), report)
+    assert dual.violations[0] == "the primal matching it mirrors is not well defined"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_no_partner_array_makes_a_matching_check_raise(table, matching, n, dual, data):
+    from hcomplex.reports import certify_acyclic, check_matching
+
+    # a few ids of the built matching changed, or an array of any ids
+    size, ids = factorial(n), st.integers(-3, factorial(n) + 2)
+    partners = array("i", matching(n, dual).partners)
+    if data.draw(st.booleans()):
+        for f, g in data.draw(st.lists(st.tuples(st.integers(0, size - 1), ids), max_size=6)):
+            partners[f] = g
+    else:
+        partners = array("i", data.draw(st.lists(ids, min_size=size, max_size=size)))
+    report, violations, numbers = check_matching(table(n), MatchingMap(n, dual, partners))
+    unchanged = partners == matching(n, dual).partners
+    if dual:
+        assert report.ok == unchanged  # M1 names each id where it leaves the mirrored primal
+    elif unchanged:
+        assert report.ok
+    assert sum(numbers.m) == partners.count(-1)
+    certify_acyclic(table(n), MatchingMap(n, dual, partners))  # a verdict and no exception
 
 
 def test_cleared_pairs_leave_later_matchings_unchanged():

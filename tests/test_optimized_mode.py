@@ -66,3 +66,12 @@ def test_witness_is_the_same_under_python_O(subprocess_env):
         subprocess_env, "witness", "--n", "8", "--k", "2")
     assert '"freeFace": ' in plain
     assert optimized == plain
+
+
+def test_dual_matching_and_morse_are_the_same_under_python_O(subprocess_env):
+    # the dual check is the primal report, M1 and M2, none of them an assert
+    for command in ("match", "morse"):
+        plain, optimized = run_plain_and_optimized(
+            subprocess_env, command, "--n", "6", "--dual")
+        assert '"dual": true' in plain
+        assert optimized == plain
