@@ -208,8 +208,8 @@ class SignedChain:
         for face, c in self.coeffs.items():
             if face.n != self.n or face.dim != self.dim:
                 raise ValueError(f"term {face!r} does not live in dimension {self.dim}")
-            if not c:
-                raise ValueError("coefficients must be non-zero")
+            if type(c) is not int or not c:
+                raise ValueError(f"coefficients must be non-zero ints, got {c!r}")
 
     def __reduce__(self):
         return SignedChain, (self.n, self.dim, dict(self.coeffs))

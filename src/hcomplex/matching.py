@@ -3,17 +3,18 @@
 Each non-critical face is paired through its lowest matchable block by
 swapping two adjacent letters of its word: split types swap the pair across
 the bar above the block, erasing that bar; merged types swap a pair inside
-the block, inserting one.  The bars either side of the pair keep their
-state, so matched faces are a cover pair and the moves are mutually inverse.
+the block, inserting one.  ``cover_swap``, the one rule for build and check,
+keeps the bars either side of the pair: matched faces are a cover pair, and
+the moves are mutually inverse.
 
 The dual matching applies the same rules to the order-reversed structure
 (maximal decreasing runs, bars at ascents): the complemented word
 (a_i -> n+1-a_i) is diagnosed, and the same swap is made on the face's own
 word.  Complement reverses the lex order of face ids, so the dual pairs are
 the primal ones relabelled f -> n!-1-f.  ``verify_well_defined`` checks the
-primal pairs on the words and the dual only as that mirror: complement maps
-each cover pair one adjacent swap apart to a cover pair, so the primal
-check's facts carry over.
+primal pairs on their words alone, with no cover incidence, and the dual only
+as that mirror: complement maps each cover pair one adjacent swap apart to a
+cover pair, so the primal check's facts carry over.
 
 A ``MatchingMap`` is an ``array('i')`` of partner ids, ``pairs`` a new dict
 of them.  Whatever reads a matching against a table calls ``check_table``
@@ -34,7 +35,7 @@ from operator import gt, ne
 from typing import Iterator
 
 from . import workers
-from .complexes import FaceTable
+from .complexes import FaceTable, covers_down
 from .perms import BarredFace, MatchableType, complement_word, diagnose_word
 
 _PAIRED_KIND = {
@@ -45,29 +46,28 @@ _PAIRED_KIND = {
 }
 
 
-def _is_adjacent_swap(v: bytes, w: bytes) -> bool:
-    diff = [i for i, (x, y) in enumerate(zip(v, w)) if x != y]
-    return (
-        len(diff) == 2
-        and diff[1] == diff[0] + 1
-        and v[diff[0]] == w[diff[1]]
-        and v[diff[1]] == w[diff[0]]
-    )
+def cover_swap(word: bytes, p: int) -> bytes | None:
+    """The word with the letters at positions p, p+1 swapped, or None unless
+    the swap toggles only the bar between them: the sentinels stay put and
+    the bars either side keep their state (a cover pair, by the lemma of
+    ``verify_well_defined``).
+
+    >>> cover_swap(b"\\0\\1\\3\\2\\4", 2), cover_swap(b"\\0\\3\\2\\4\\1\\5", 2)
+    (b'\\x00\\x01\\x02\\x03\\x04', None)
+    """
+    if not 1 <= p < len(word) - 2:
+        return None
+    a, b, c, d = word[p - 1:p + 3]
+    if (a > b) != (a > c) or (b > d) != (c > d):
+        return None
+    return word[:p] + bytes((c, b)) + word[p + 2:]
 
 
 def _swap(f: BarredFace, p: int) -> BarredFace:
-    """The face of f's word with the letters at positions p, p+1 swapped.
-    The bar at rank p+1 toggles; raises AssertionError unless the sentinels
-    stay put and the bars at ranks p and p+2 keep their state."""
-    w = bytearray(f.word)
-    if not (
-        1 <= p < f.n
-        and (w[p - 1] > w[p]) == (w[p - 1] > w[p + 1])
-        and (w[p] > w[p + 2]) == (w[p + 1] > w[p + 2])
-    ):
+    """The face ``cover_swap`` gives at p; AssertionError where it gives None."""
+    if (word := cover_swap(f.word, p)) is None:
         raise AssertionError(f"swapping word positions {p}, {p + 1} of {f} is not a cover move")
-    w[p], w[p + 1] = w[p + 1], w[p]
-    return BarredFace.from_word(f.n, bytes(w))
+    return BarredFace.from_word(f.n, word)
 
 
 def partner(f: BarredFace) -> BarredFace | None:
@@ -204,17 +204,22 @@ def verify_well_defined(
     transposition apart whose members share their lowest matchable rank with
     inverse types (one-split with one-merged, two-merged with two-split).
 
-    A primal matching is checked pair by pair on the words, each id outside
-    -1..N-1 reported, and each critical word for a block longer than 3
-    letters.  A dual one is checked only as the mirror of
-    ``build_matching(table)``, whose report is ``primal`` (checked here when
-    not given): that report ok on the ids p it checked, (M1)
-    ``partners[f] == N-1-p[N-1-f]``, -1 kept, and (M2)
-    ``complement_word(words[f]) == words[N-1-f]``.  That is all: if u covers
-    l one adjacent swap apart at p, p+1, then D(l) = D(u) minus {p}, so
-    complement gives D(c(l)) = D(c(u)) plus {p} with c(u) and c(l) differing
-    at p, p+1 alone; c(u) is then ``erase_bar(c(l), p)``, and c(l) covers
-    c(u).  So by M1 and M2 every dual pair is a primal pair complemented: a
+    A primal matching is checked on its words alone: each id outside -1..N-1
+    is reported, each critical word with a block longer than 3 letters, and
+    each pair unless both words are diagnosed, naming one p, and
+    ``cover_swap`` at p takes one to the other (a failing pair is tested for
+    coverness by ``covers_down``, bar by bar).  Lemma: words one adjacent swap
+    apart at p, p+1 are a cover pair exactly when ``cover_swap`` gives one
+    from the other.  If u covers l, D(l) is D(u) less one rank, so the swap
+    toggles only the bar between them; if it does, that run of l is
+    increasing, and erasing that bar of u sorts it into l.  A dual one is
+    checked only as the mirror of ``build_matching(table)``, whose report is
+    ``primal`` (checked here when not given): that report ok on the ids it
+    checked, (M1) ``partners[f] == N-1-ids[N-1-f]``, -1 kept, and (M2)
+    ``complement_word(words[f]) == words[N-1-f]``.  That is all: complement
+    flips each bar between core letters and keeps the two beside the
+    sentinels, so ``cover_swap`` at p takes c(u) to c(l) when it takes u to
+    l.  By M1 and M2 every dual pair is then a primal pair complemented: a
     cover pair, with the primal diagnoses, ranks, types and critical words.
 
     >>> from .complexes import enumerate_faces
@@ -238,8 +243,6 @@ def verify_well_defined(
         for f in compress(count(), unlike):
             violations.append(f"word {f} complemented is not word {last - f}")
     else:
-        bars = table.bars
-        offsets, lowers = table.cover_incidence()
         for fid in compress(count(), map((-1).__eq__, partners)):
             if b"\0\0\0" in bytes(map(gt, w := words[fid], w[1:])):  # 1 at each descent
                 violations.append(f"critical face {fid} {list(w)} has a block longer than 3")
@@ -253,14 +256,12 @@ def verify_well_defined(
                 continue
             if fid > gid:
                 continue  # handle each pair once
-            lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
-            try:
-                lowers.index(lower, offsets[upper], offsets[upper + 1])
-            except ValueError:
-                violations.append(f"{fid}<->{gid}: not a cover pair")
-            if not _is_adjacent_swap(words[fid], words[gid]):
-                violations.append(f"{fid}<->{gid}: words not one adjacent swap apart")
-            df, dg = diagnose_word(words[fid]), diagnose_word(words[gid])
+            v, w = words[fid], words[gid]
+            df, dg = diagnose_word(v), diagnose_word(w)
+            if not (df and dg and df[3] == dg[3] and cover_swap(v, df[3]) == w):
+                cover = gid in covers_down(table, fid) or fid in covers_down(table, gid)
+                why = "a cover pair, not its diagnosed swap" if cover else "not a cover pair"
+                violations.append(f"{fid}<->{gid}: {why}")
             if df is None or dg is None:
                 violations.append(f"{fid}<->{gid}: matched face has no matchable block")
                 continue

@@ -42,13 +42,13 @@ class MorseDigraph:
 def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
     """Orient the Hasse diagram: matched covers up, all others down.
 
-    The matching is one ``verify_well_defined`` accepts, so its pairs are
-    cover pairs: a face u covering l gives the arc l -> u when l's partner
-    is u, and u -> l otherwise.  An id outside the table adds no arc, so
-    every partner array gives a digraph.  Node v lists its arcs in the order
-    a walk over the uppers in id order, each over its covers in bar order,
-    meets them: its down arcs in bar order, with its up arc, to p, before
-    them when p < v and after them when p > v.
+    The matching is one ``verify_well_defined`` accepts, so its pairs are cover
+    pairs (each a ``cover_swap``, by the lemma there): a face u covering l
+    gives the arc l -> u when l's partner is u, and u -> l otherwise.  An id
+    outside the table adds no arc, so every partner array gives a digraph.
+    Node v lists its arcs in the order a walk over the uppers in id order, each
+    over its covers in bar order, meets them: its down arcs in bar order, with
+    its up arc, to p, before them when p < v and after them when p > v.
 
     >>> from .complexes import enumerate_faces
     >>> from .matching import build_matching
@@ -75,13 +75,10 @@ def build_digraph(table: FaceTable, matching: MatchingMap) -> MorseDigraph:
         down = lowers[lo:hi]
         if k:
             down = compress(down, map(v.__ne__, map(up.__getitem__, down)))
-        if p < 0:
-            extend(down)
-        elif p < v:
+        if 0 <= p < v:
             append(p)
-            extend(down)
-        else:
-            extend(down)
+        extend(down)
+        if p > v:
             append(p)
         mark(len(targets))
         lo = hi

@@ -76,6 +76,23 @@ def test_cli_match_n6_dual_frozen(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MATCH_N6_DUAL_SHA256
 
 
+def test_matchings_are_checked_and_printed_with_no_cover_incidence(monkeypatch, capsys):
+    import hashlib
+
+    from hcomplex.complexes import FaceTable, enumerate_faces
+    from hcomplex.matching import build_matching, verify_well_defined
+
+    def no_incidence(self):
+        raise AssertionError("read the cover incidence")
+
+    monkeypatch.setattr(FaceTable, "cover_incidence", no_incidence)
+    t = enumerate_faces(6)
+    assert verify_well_defined(t, build_matching(t)).ok
+    for flags, digest in (([], MATCH_N6_SHA256), (["--dual"], MATCH_N6_DUAL_SHA256)):
+        assert main(["match", "--n", "6", *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_witness_frozen_output(capsys):
     assert main(["witness", "--n", "7", "--k", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations
 
 import pytest
@@ -350,6 +351,13 @@ def test_signed_chain_validation():
         SignedChain(4, 0, {f0: 1})  # wrong n
     z = SignedChain(3, 0, {f0: 2})
     assert len(z) == 1 and not z.is_zero()
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, True, Fraction(1), "1", None])
+def test_a_signed_chain_refuses_a_coefficient_that_is_not_an_int(c):
+    # an integer chain: 0.5 used to pass and give a 0.5 term in the boundary
+    with pytest.raises(ValueError, match="non-zero ints"):
+        SignedChain(3, 0, {face_from_perm((2, 1, 3)): c})
 
 
 def test_a_signed_chain_keeps_its_terms_when_its_dict_changes():

@@ -5,6 +5,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from math import factorial
+from operator import gt
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from hcomplex.complexes import enumerate_faces
 from hcomplex.matching import (
     MatchingMap,
     MatchingReport,
-    _is_adjacent_swap,
     build_matching,
+    cover_swap,
     critical_faces,
     dual_partner,
     partner,
@@ -308,12 +309,15 @@ def test_partner_frozen_examples():
     assert partner(BarredFace(3, ((0, 2), (1, 3, 4)))) is None
 
 
-def one_adjacent_swap_apart(v, w):
-    diff = [i for i in range(len(v)) if v[i] != w[i]]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
-        return False
-    i, j = diff
-    return (v[i], v[j]) == (w[j], w[i])
+def is_adjacent_swap(v, w):
+    """Whether the words v and w differ by swapping two adjacent letters."""
+    diff = [i for i, (x, y) in enumerate(zip(v, w)) if x != y]
+    return (
+        len(diff) == 2
+        and diff[1] == diff[0] + 1
+        and v[diff[0]] == w[diff[1]]
+        and v[diff[1]] == w[diff[0]]
+    )
 
 
 def complemented(f):
@@ -332,7 +336,7 @@ def assert_local_match(f, g, match, structure):
     )
     assert rank_f == rank_g
     assert PAIRED[kind_f] is kind_g
-    assert one_adjacent_swap_apart(f.word, g.word)
+    assert is_adjacent_swap(f.word, g.word)
 
 
 def test_partner_is_a_cover_involution_with_shared_rank(table):
@@ -576,7 +580,7 @@ def test_complement_maps_exactly_the_adjacent_swap_covers_to_covers(table, n):
     offsets, lowers = t.cover_incidence()
     covers = {(u, l) for u in range(len(t)) for l in lowers[offsets[u]:offsets[u + 1]]}
     for u, l in covers:
-        assert ((last - l, last - u) in covers) == _is_adjacent_swap(words[u], words[l]), (u, l)
+        assert ((last - l, last - u) in covers) == is_adjacent_swap(words[u], words[l]), (u, l)
 
 
 def test_dual_differing_from_the_relabelled_primal_in_one_pair_fails(table, matching):
@@ -628,7 +632,7 @@ def test_the_dual_mirrors_the_ids_its_primal_report_checked():
     memo, words = b_report.partners, b.words
     repairs = [
         (c, m) for c in range(120) if memo[c] < 0 for m in b.lowers(c)
-        if memo[m] >= 0 and _is_adjacent_swap(words[c], words[m])
+        if memo[m] >= 0 and is_adjacent_swap(words[c], words[m])
     ]
     assert len(repairs) == 20
     for c, m in repairs:
@@ -677,6 +681,131 @@ def test_a_primal_pair_moved_onto_a_non_cover_fails(table, matching):
     violation = f"{min(f, h)}<->{max(f, h)}: not a cover pair"
     assert violation in verify_well_defined(t, moved).violations
     assert violation in check_matching(t, moved)[1]
+
+
+# -- the primal pair check on words, against the incidence -------------------
+
+
+def incidence_check_violations(t, partners):
+    """The primal check as it read the cover incidence: each pair looked up
+    among its upper face's covers and diffed as words, with the ids, the
+    involution, the critical words, the diagnoses, ranks and types."""
+    words, bars, size = t.words, t.bars, len(partners)
+    offsets, lowers = t.cover_incidence()
+    out = []
+    for fid, gid in enumerate(partners):
+        if gid == -1:
+            if b"\0\0\0" in bytes(map(gt, w := words[fid], w[1:])):
+                out.append(f"critical face {fid} has a block longer than 3")
+            continue
+        if not 0 <= gid < size:
+            out.append(f"{fid}<->{gid}: not a face id or -1")
+        elif partners[gid] != fid or gid == fid:
+            out.append(f"{fid}<->{gid}: not a fixed-point-free involution")
+        elif fid < gid:
+            lower, upper = (fid, gid) if bars[fid] < bars[gid] else (gid, fid)
+            if lower not in lowers[offsets[upper]:offsets[upper + 1]]:
+                out.append(f"{fid}<->{gid}: not a cover pair")
+            if not is_adjacent_swap(words[fid], words[gid]):
+                out.append(f"{fid}<->{gid}: words not one adjacent swap apart")
+            df, dg = diagnose_word(words[fid]), diagnose_word(words[gid])
+            if df is None or dg is None:
+                out.append(f"{fid}<->{gid}: matched face has no matchable block")
+            elif df[1] != dg[1] or PAIRED[df[2]] is not dg[2]:
+                out.append(f"{fid}<->{gid}: ranks or types do not pair")
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cover_swap_gives_a_word_exactly_for_a_cover_neighbour(table, n):
+    # the lemma the primal check rests on: an adjacent swap that keeps the
+    # bars at ranks p and p+2 is exactly a cover pair
+    t = table(n)
+    offsets, lowers = t.cover_incidence()
+    covers = {(u, l) for u in range(len(t)) for l in lowers[offsets[u]:offsets[u + 1]]}
+    found = 0
+    for f, word in enumerate(t.words):
+        for p in range(1, n):
+            swapped = word[:p] + bytes((word[p + 1], word[p])) + word[p + 2:]
+            g = t.id_of_word(swapped)
+            got = cover_swap(word, p)
+            assert got in (None, swapped)
+            assert (got is not None) == ((f, g) in covers or (g, f) in covers), (f, p)
+            found += got is not None
+    assert found == 2 * sum(is_adjacent_swap(t.words[u], t.words[l]) for u, l in covers)
+
+
+def test_a_cover_pair_one_swap_apart_off_the_diagnosed_position_fails(table, matching):
+    # at n = 6 faces 1 and 7 are a cover pair one adjacent swap apart with the
+    # same rank and inverse types, but their diagnoses name positions 5 and 1
+    t = table(6)
+    partners = array("i", matching(6).partners)
+    assert (partners[1], partners[7]) == (0, 127)
+    assert [diagnose_word(t.words[f])[3] for f in (1, 7)] == [5, 1]
+    partners[0] = partners[127] = -1
+    partners[1], partners[7] = 7, 1
+    report = verify_well_defined(t, MatchingMap(6, False, partners))
+    assert not report.ok
+    assert [v for v in report.violations if v.startswith("1<->7")] == [
+        "1<->7: a cover pair, not its diagnosed swap"
+    ]
+    # the incidence-based check passed this pair: it failed only face 0, left critical
+    assert not [v for v in incidence_check_violations(t, partners) if v.startswith("1<->7")]
+
+
+def test_two_pairs_crossed_onto_non_covers_with_like_diagnoses_fail(table, matching):
+    # at n = 4 pairs 3<->13 and 9<->15 crossed are an involution with no
+    # face left critical, and each new pair shares its diagnosed p, rank and
+    # inverse types: only the swap itself tells them from cover pairs
+    t = table(4)
+    partners = array("i", matching(4).partners)
+    assert (partners[3], partners[9]) == (13, 15)
+    partners[3], partners[15], partners[9], partners[13] = 15, 3, 13, 9
+    assert diagnose_word(t.words[3])[1:] == (1, MatchableType.TWO_MERGED, 1)
+    assert diagnose_word(t.words[15])[1:] == (1, MatchableType.TWO_SPLIT, 1)
+    report = verify_well_defined(t, MatchingMap(4, False, partners))
+    assert report.violations == ("3<->15: not a cover pair", "9<->13: not a cover pair")
+
+
+def test_a_pair_whose_diagnoses_name_two_positions_fails(monkeypatch, table, matching):
+    # face 3's diagnosed swap gives face 13; a diagnosis of face 13 naming
+    # another position breaks the pair from that side
+    import hcomplex.matching as matching_module
+
+    t = table(4)
+    assert matching(4).partners[3] == 13
+    bent = t.words[13]
+
+    def diagnose(word):
+        d = diagnose_word(word)
+        return (*d[:3], d[3] + 1) if word == bent else d
+
+    monkeypatch.setattr(matching_module, "diagnose_word", diagnose)
+    report = verify_well_defined(t, matching(4))
+    assert report.violations == ("3<->13: a cover pair, not its diagnosed swap",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(("ids", "pairs", "array")), st.data())
+def test_every_primal_array_the_word_check_accepts_passes_the_incidence_check(
+    table, matching, n, change, data
+):
+    # the word check is no weaker: whatever it accepts, the incidence accepts
+    t, size, ids = table(n), factorial(n), st.integers(-3, factorial(n) + 2)
+    partners = array("i", matching(n).partners)
+    if change == "array":
+        partners = array("i", data.draw(st.lists(ids, min_size=size, max_size=size)))
+    for f, g in data.draw(st.lists(st.tuples(st.integers(0, size - 1), ids), max_size=6)):
+        if change == "ids":
+            partners[f] = g
+        elif change == "pairs" and (covered := t.lowers(f)):
+            g = covered[g % len(covered)]
+            for x in (f, g):  # re-pair f with a face it covers, their partners left critical
+                if partners[x] >= 0:
+                    partners[partners[x]] = -1
+            partners[f], partners[g] = g, f
+    if verify_well_defined(t, MatchingMap(n, False, partners)).ok:
+        assert incidence_check_violations(t, partners) == []
 
 
 # -- partner ids outside the table: violations, never exceptions --------------

@@ -1,6 +1,6 @@
 """Verdicts do not rest on `assert` statements, which `python -O` strips,
-and only the face table reads its `words`, so a released table fails with
-one error at every reader."""
+only the face table reads its `words`, so a released table fails with one
+error at every reader, and the matching checks read no cover incidence."""
 
 import ast
 import subprocess
@@ -29,6 +29,16 @@ def test_only_the_face_table_reads_its_words_attribute():
         if path.name != "complexes.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "words"
+    ]
+    assert found == []
+
+
+def test_the_matching_module_never_reads_the_cover_incidence():
+    # both matchings are checked on the words: a pair by cover_swap, the dual as a mirror
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "hcomplex" / "matching.py").read_text()))
+        if "cover_incidence" in (getattr(node, "attr", None), getattr(node, "id", None))
     ]
     assert found == []
 
