@@ -20,9 +20,11 @@ the primal partner ids are computed in a worker while this process computes
 the lower half.  Then a worker certifies the primal digraph, lets go of the
 table's words and partner ids and computes the invariant factors, while this
 process checks the primal matching, the dual one as its mirror (handed the
-primal report), the dual digraph and the witnesses; the worker returns only
-its certificate's verdict and the factor memo, which this process reads the
-Betti numbers off.  Every other row, and every row on a machine without a
+primal report) and the witnesses, lets go of its own words and certifies the
+dual digraph; the worker returns only its certificate's verdict and the
+factors of each boundary as a count of leading units and the factors after
+them, from which this process rebuilds the factor memo and reads the Betti
+numbers off it.  Every other row, and every row on a machine without a
 second CPU, runs in process, the worker's half last.  The results are the
 same either way, and a worker that fails raises in this process, so it can
 never turn into a PASS.
@@ -164,7 +166,7 @@ class ConjectureReport:
 
 def conjecture_row(n: int) -> ConjectureRow:
     """Run every verification for one n on a face table of its own, which
-    lets go of its words before the Smith forms.
+    lets go of its words before the dual digraph and the Smith forms.
 
     >>> conjecture_row(3)  # doctest: +NORMALIZE_WHITESPACE
     ConjectureRow(n=3, expected=(0,), observed=(0,), primal_morse_ok=True,
@@ -179,17 +181,18 @@ def conjecture_row(n: int) -> ConjectureRow:
         report, *primal = check_matching(table, matching)
         dual_matching = build_matching(table, dual=True)
         _, *dual = check_matching(table, dual_matching, report)
-        dual_acyclic, _ = certify_acyclic(table, dual_matching)
         witness_ok = all(
             verify_witness(n, k, table).ok for m, k in admissible_pairs(n) if m == n
         )
+        table.release_words()  # the last word reader has run
+        dual_acyclic, _ = certify_acyclic(table, dual_matching)
         return primal, dual, dual_acyclic, witness_ok
 
     (primal, dual, dual_acyclic, witness_ok), (acyclic, factors) = workers.both(
         "primal digraph and Smith forms", len(table), here,
         partial(_primal_digraph_and_factors, table, matching),
     )
-    table._invariants = factors  # the worker's memo, or the same dict in process
+    table._invariants = {d: (1,) * units + rest for d, (units, rest) in factors.items()}
     bt = betti_table(table, "Z")
     observed = bt.nonzero_dims() if n <= 7 else nonzero_dims_via_ranks(table)
     primal_ok, dual_ok = (
@@ -209,15 +212,23 @@ def conjecture_row(n: int) -> ConjectureRow:
 
 
 def _primal_digraph_and_factors(table: FaceTable, matching: MatchingMap) -> tuple:
-    """Whether the primal digraph is certified acyclic, then the factor memo
-    of every boundary; the words, the partner memo and the partner ids of
+    """Whether the primal digraph is certified acyclic, then the invariant
+    factors of every boundary, each as its count of leading units and the
+    factors after them; the words, the partner memo and the partner ids of
     ``matching`` (emptied in place: the caller's ``partial`` holds it) go
     first, as the Smith forms read none of them."""
     acyclic, _ = certify_acyclic(table, matching)
     table.release_words()
     del matching.partners[:]
     invariant_factors(table, 0)
-    return acyclic, table._invariants
+    return acyclic, {d: _units_and_rest(fs) for d, fs in table._invariants.items()}
+
+
+def _units_and_rest(factors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The number of 1s in ``factors`` and the factors after them: in a
+    divisibility chain every 1 comes first."""
+    units = factors.count(1)
+    return units, factors[units:]
 
 
 def conjecture_payload(report: ConjectureReport) -> dict:

@@ -38,10 +38,11 @@ from hcomplex.reports import face_table_payload
 BYTES_PER_FACE_N7 = 92
 
 # invariant_factors(t, 0) on enumerate_faces(7), incidence and id lists
-# already built, peaked at 0.70 MB under tracemalloc (Python 3.11, 64-bit
-# Linux); the bound allows 15%.  A set of rows per column peaked at 1.01 MB,
-# and eliminating a private copy of each boundary at 1.33 MB.
-INVARIANTS_PEAK_N7 = 804_000
+# already built, peaked at 0.57 MB under tracemalloc (Python 3.11, 64-bit
+# Linux); the bound allows 15%.  A sorted list of rows per column peaked at
+# 0.70 MB, a set of rows per column at 1.01 MB, and eliminating a private
+# copy of each boundary at 1.33 MB.
+INVARIANTS_PEAK_N7 = 650_000
 
 
 def test_index_keys_are_the_face_words():

@@ -1,9 +1,12 @@
 """Integer Smith form and ranks, cross-checked against sympy and dense Gauss."""
 
 import copy
+import hashlib
+import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import sympy
@@ -150,11 +153,68 @@ def test_pivot_sequence_equals_a_set_indexed_reference(table):
         {i: {j: rng.choice(entries) for j in rng.sample(range(30), 4)} for i in range(25)}
         for _ in range(20)
     ]
+    # keys the column index cannot hold as they are: negative columns, columns
+    # far above the entry count, rows past array('i') and the heap key
+    matrices += [
+        {i << shift: {j * scale - low: v for j, v in row.items()} for i, row in rows.items()}
+        for rows in matrices[-6:]
+        for shift, scale, low in ((0, 1, 15), (0, 10**9, 0), (40, 1, 0), (31, 7, 3))
+    ]
     for rows in matrices:
         expected = set_indexed_pivots(rows)
         pivots = []
         smith_normal_form(copy.deepcopy(rows), pivots)
         assert pivots == expected
+
+
+# sha256 of the pivot columns and the factors of every Smith form that
+# invariant_factors runs for n = 2..7, top down with clearing, as the sorted
+# per-column lists of the earlier column index chose them
+PIVOTS_N2_7_SHA256 = "53d3168921b893e28da2b99dc83ce9a863a6aac367feb11d8604207c1c7ade93"
+
+
+def test_the_elimination_path_of_invariant_factors_is_pinned(monkeypatch):
+    from hcomplex import homology
+    from hcomplex.complexes import enumerate_faces
+
+    seen = []
+
+    def recorded(rows, pivots):
+        factors = smith_normal_form(rows, pivots)
+        seen.append([pivots, list(factors)])
+        return factors
+
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    for n in range(2, 8):
+        seen.append(n)
+        homology.invariant_factors(enumerate_faces(n), 0)
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == PIVOTS_N2_7_SHA256
+
+
+@pytest.mark.parametrize(
+    "rows, pivot, residual",
+    [
+        ({0: {-3: 1, 5: 4}, 1: {-3: 6, 5: 2}}, -3, {1: {5: -22}}),
+        ({0: {10**9: 1, 0: 4}, 1: {10**9: 6, 0: 2}}, 10**9, {1: {0: -22}}),
+        ({0: {0: 1, 1: 4}, 2**31: {0: 6, 1: 2}}, 0, {2**31: {1: -22}}),
+        ({0: {0: 1, 1: 4}, 2**40: {0: 6, 1: 2}}, 0, {2**40: {1: -22}}),
+    ],
+    ids=["negative column", "column far above the entries", "row past array", "row past heap key"],
+)
+def test_keys_the_column_index_cannot_hold_are_ranked_not_allocated(rows, pivot, residual):
+    # two entries per row: the index stays small whatever the keys, and the
+    # pivots and the residual come back under the caller's keys
+    pivots = []
+    tracemalloc.start()
+    try:
+        factors = smith_normal_form(rows, pivots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000, f"peak {peak} B"
+    assert factors == (1, 22)
+    assert pivots == [pivot]
+    assert rows == residual
 
 
 def test_transpose_invariance():

@@ -16,6 +16,7 @@ import pytest
 
 from hcomplex import reports, workers
 from hcomplex.complexes import FaceTable, enumerate_faces
+from hcomplex.homology import invariant_factors
 from hcomplex.matching import build_matching
 from hcomplex.reports import conjecture_row
 from hcomplex.witnesses import admissible_pairs, verify_witness, witness_payload
@@ -98,6 +99,46 @@ def test_a_row_runs_its_smith_forms_on_its_own_table_without_words(
     monkeypatch.setattr(reports, "invariant_factors", spy)
     assert conjecture_row(5).verdict == "PASS"
     assert seen.read_text() == f"words None in worker {worker == 'worker_on'}\n"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n, worker", [(6, "worker_off"), (7, "worker_on")])
+def test_the_process_releases_its_words_before_the_dual_digraph(n, worker, request, monkeypatch):
+    request.getfixturevalue(worker)
+    released = []
+    real = reports.certify_acyclic
+
+    def spy(table, matching, digest=False):
+        if matching.dual:  # the process's call; a worker's would not show here
+            released.append(table.words is None)
+        return real(table, matching, digest)
+
+    monkeypatch.setattr(reports, "certify_acyclic", spy)
+    assert conjecture_row(n).verdict == "PASS"
+    assert released == [True]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("worker", ["worker_on", "worker_off"])
+def test_a_row_rebuilds_the_factor_memo_from_unit_counts(worker, request, monkeypatch, table):
+    request.getfixturevalue(worker)
+    whole = {d: invariant_factors(table(6), d) for d in range(4, -1, -1)}
+    t = enumerate_faces(6)
+    t.cover_incidence()
+    acyclic, sent = reports._primal_digraph_and_factors(t, build_matching(t))
+    assert acyclic and sent == {d: (len(fs), ()) for d, fs in whole.items()}
+    assert reports._units_and_rest((1, 1, 2, 6)) == (2, (2, 6))
+    assert reports._units_and_rest(()) == (0, ())
+    memos = []
+    real = reports.betti_table
+
+    def spy(table, coefficients="Z"):
+        memos.append(dict(table._invariants))
+        return real(table, coefficients)
+
+    monkeypatch.setattr(reports, "betti_table", spy)
+    assert conjecture_row(6).verdict == "PASS"
+    assert memos == [whole]
     _no_child_left()
 
 
