@@ -39,6 +39,7 @@ from .reports import (
     render_betti_csv,
     render_morse_csv,
     render_report,
+    scan_table,
 )
 from .witnesses import verify_witness
 
@@ -104,7 +105,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_morse(args: argparse.Namespace) -> int:
     table = _table(args, args.n)
-    matching = build_matching(table, dual=args.dual)
+    primal = scan_table(table)  # the dual side needs the primal partner ids and the covers
+    matching = build_matching(table, dual=True) if args.dual else primal
     _, violations, numbers = check_matching(table, matching)
     if violations:
         raise Falsification(f"matching or Morse numbers: {violations[:3]}")

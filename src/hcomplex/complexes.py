@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import gt
 
-from . import workers
 from .perms import BarredFace, check_n, erase_bar, face_from_perm, run_cuts
 
 ENUM_CEILING = 9  # largest n enumerated without an explicit override
@@ -120,29 +119,20 @@ class FaceTable:
     def cover_incidence(self) -> tuple[array, array]:
         """(offsets, lowers): face i covers ``lowers[offsets[i]:offsets[i + 1]]``.
 
-        Erasing bar k carries the boundary sign (-1)^k.  Built on first use:
-        the offsets are the running sums of ``bars``, the lowers one
-        ``covers_down`` call per face; on a table large enough for a worker
-        (``workers.split``), the worker scans the ids holding the upper half.
+        Erasing bar k carries the boundary sign (-1)^k.  Built on first use,
+        in process: the offsets are the running sums of ``bars``, the lowers
+        one ``covers_down`` call per face (which checks each cover count).
 
         >>> enumerate_faces(3).cover_incidence()
         (array('i', [0, 0, 1, 2, 3, 4, 6]), array('i', [0, 0, 0, 0, 3, 4]))
         """
         if self._incidence is None:
             offsets = array("i", itertools.accumulate(self.bars, initial=0))
-            mid = bisect_left(offsets, offsets[-1] // 2)  # half the covers either side
-            lowers = workers.split("cover_incidence", len(self), self._cover_span, mid)
+            lowers = array("i")
+            for fid in range(len(self)):
+                lowers.extend(covers_down(self, fid))
             self._incidence = offsets, lowers
         return self._incidence
-
-    def _cover_span(self, lo: int, hi: int) -> array:
-        """The ids the faces lo..hi-1 cover, face by face; ``covers_down``
-        raises AssertionError naming a face whose cover count is not its bar
-        count, which would shift every offset after it."""
-        lowers = array("i")
-        for fid in range(lo, hi):
-            lowers.extend(covers_down(self, fid))
-        return lowers
 
     def lowers(self, fid: int) -> array:
         """The ids of the faces face fid covers, in bar order."""

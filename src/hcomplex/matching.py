@@ -137,10 +137,10 @@ def check_table(table: FaceTable, matching: MatchingMap) -> None:
 def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     """Match every non-critical face through its lowest matchable block.
 
-    The first call per table keeps one ``partner`` id per face (-1: critical),
-    the upper half of the ids found in a worker on a table large enough for
-    one (``workers.split``); the dual relabels those pairs f -> N-1-f.  Each
-    call returns a new array.
+    The first call per table keeps one ``partner`` id per face (-1: critical)
+    as the table's memo; on a table large enough for a worker, the worker
+    finds the upper half of the ids (``workers.both``).  The dual relabels
+    those pairs f -> N-1-f.  Each call returns a new array.
 
     >>> from .complexes import enumerate_faces
     >>> t = enumerate_faces(3)
@@ -148,8 +148,10 @@ def build_matching(table: FaceTable, dual: bool = False) -> MatchingMap:
     ({0: 1, 1: 0}, {4: 5, 5: 4})
     """
     if table._partners is None:
-        span = partial(_partner_span, table)
-        table._partners = workers.split("partner ids", len(table), span, len(table) // 2)
+        size, mid = len(table), len(table) // 2
+        lower, upper = workers.both("partner ids", size, partial(_partner_span, table, 0, mid),
+                                    partial(_partner_span, table, mid, size))
+        table._partners = lower + upper
     primal = table._partners
     return MatchingMap(table.n, dual, array("i", _relabelled(primal) if dual else primal))
 

@@ -14,20 +14,18 @@ non-vanishing dimensions equal the predicted middle third.  Every row is
 computed afresh; nothing is read from or written to disk.
 
 From n = 7 on (``workers.MIN_FACES`` faces), on a machine that lets this
-process run on two CPUs and has ``os.fork``, a row uses two processes and
-at most one worker at a time.  The upper half of the cover incidence and of
-the primal partner ids are computed in a worker while this process computes
-the lower half.  Then a worker certifies the primal digraph, lets go of the
-table's words and partner ids and computes the invariant factors, while this
-process checks the primal matching, the dual one as its mirror (handed the
-primal report) and the witnesses, lets go of its own words and certifies the
-dual digraph; the worker returns only its certificate's verdict and the
-factors of each boundary as a count of leading units and the factors after
-them, from which this process rebuilds the factor memo and reads the Betti
-numbers off it.  Every other row, and every row on a machine without a
-second CPU, runs in process, the worker's half last.  The results are the
-same either way, and a worker that fails raises in this process, so it can
-never turn into a PASS.
+process run on two CPUs and has ``os.fork``, a row forks twice, one worker
+at a time.  First (``scan_table``, shared with ``hcomplex morse``) a worker
+finds the primal partner ids while this process builds the cover incidence.
+Then a worker certifies the primal digraph, lets go of the table's words and
+partner ids and computes the invariant factors, while this process checks
+the primal matching, the dual one as its mirror (handed the primal report)
+and the witnesses, lets go of its own words and certifies the dual digraph;
+the worker returns only its certificate's verdict and the factors of each
+boundary as a count of leading units and the factors after them, from which
+this process rebuilds the factor memo.  Every other row, and every row on a
+machine without a second CPU, runs in process, each worker's half last, with
+the same results; a worker that fails raises here, never reads as a PASS.
 
 All payload builders emit deterministically ordered structures, so identical
 inputs give byte-identical serializations.
@@ -91,6 +89,16 @@ def check_matching(
     report = verify_well_defined(table, matching, primal)
     numbers = morse_numbers(table, matching)
     return report, report.violations + check_thresholds(numbers).violations, numbers
+
+
+def scan_table(table: FaceTable) -> MatchingMap:
+    """The primal matching, once the cover incidence is built here while a
+    worker runs ``build_matching`` (``workers.both``); the table adopts the
+    matching's partner ids as its memo, so one array holds both."""
+    _, matching = workers.both("primal partner ids", len(table), table.cover_incidence,
+                               partial(build_matching, table))
+    table._partners = matching.partners
+    return matching
 
 
 def certify_acyclic(table: FaceTable, matching: MatchingMap, digest: bool = False) -> tuple:
@@ -174,8 +182,7 @@ def conjecture_row(n: int) -> ConjectureRow:
                   witness_ok=True)
     """
     table = enumerate_faces(n, max_n=n)
-    table.cover_incidence()  # before the worker forks: both sides read it
-    matching = build_matching(table)
+    matching = scan_table(table)  # before the next fork: both sides read them
 
     def here():
         report, *primal = check_matching(table, matching)

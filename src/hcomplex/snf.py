@@ -74,6 +74,12 @@ class _Eliminator:
         self.rows = rows
         for i in list(rows):
             row = rows[i]
+            try:  # one C-level pass: a float or Fraction entry makes the sum no int
+                whole = type(sum(row.values())) is int
+            except TypeError:  # a str entry
+                whole = False
+            if not whole:
+                raise ValueError("the entries of a matrix must be ints")
             if 0 in row.values():
                 for j in [j for j, v in row.items() if not v]:
                     del row[j]
@@ -225,7 +231,8 @@ def smith_normal_form(rows: Rows, pivots: list[int] | None = None) -> tuple[int,
 
     Consumes ``rows``: the elimination runs in it, so the caller must not
     read it afterwards (pass a copy to keep it).  A ``pivots`` list gets the
-    column of each unit pivot appended.
+    column of each unit pivot appended.  An entry that is no int (a float, a
+    Fraction, a str) raises ValueError.
 
     >>> smith_normal_form(rows_from_dense([[1, 0], [0, 1]]))
     (1, 1)

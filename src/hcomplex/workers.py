@@ -7,10 +7,8 @@ child pickles its result (or its exception) into a pipe and leaves through
 ``os._exit``, so it never flushes or writes stdout.  The child's copy of the
 table is the parent's, shared copy-on-write, and nothing is sent to it.
 
-``split(stage, size, scan, mid)`` runs a per-face scan over the ids
-[0, size): one ``scan(0, size)`` call in process, or ``scan(0, mid)`` here
-and ``scan(mid, size)`` in the worker, the two results joined by ``+=``, so
-the caller gets one result in id order either way.
+``matching.build_matching`` and ``reports`` call it, and a worker runs
+their calls in process: it forks no worker of its own.
 
 There is no option: a worker is used exactly when ``os.fork`` exists, this
 process may run on two CPUs or more, and the table has ``MIN_FACES`` faces
@@ -21,7 +19,6 @@ result would cost more than the half of the work they save.
 from __future__ import annotations
 
 import os
-from functools import partial
 from typing import Any, Callable, NoReturn
 
 # 7!: from the n = 7 table on, a forked half saves more than the fork and the
@@ -44,25 +41,15 @@ def worth_a_worker(faces: int) -> bool:
     return faces >= MIN_FACES and not _in_worker and hasattr(os, "fork") and cpu_count() >= 2
 
 
-def split(stage: str, size: int, scan: Callable[[int, int], Any], mid: int) -> Any:
-    """``scan(0, size)``, or with a worker ``scan(0, mid)`` joined by ``+=``
-    to ``scan(mid, size)``, which is scanned in the worker."""
-    if not worth_a_worker(size):
-        return scan(0, size)
-    lower, upper = both(stage, size, partial(scan, 0, mid), partial(scan, mid, size))
-    lower += upper
-    return lower
-
-
 def both(stage: str, faces: int, here: Callable[[], Any], there: Callable[[], Any]) -> tuple:
     """``(here(), there())``; on a table of ``faces`` faces that is
     ``worth_a_worker``, ``there()`` runs in a forked worker meanwhile.
 
     An exception ``there()`` raises in the worker is raised here again, same
-    type and message; a worker that ends without its whole result raises
-    RuntimeError naming ``stage``.  If ``here()`` raises, the worker is
-    killed.  Either way it is reaped before this returns.  When ``os.fork``
-    fails, both run in process.
+    type and message; a worker that ends without its whole result, or sends
+    one that does not unpickle, raises RuntimeError naming ``stage``.  If
+    ``here()`` raises, the worker is killed.  Either way it is reaped before
+    this returns.  When ``os.fork`` fails, both run in process.
     """
     if not worth_a_worker(faces):
         return here(), there()
@@ -90,8 +77,11 @@ def both(stage: str, faces: int, here: Callable[[], Any], there: Callable[[], An
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not data:
-        raise RuntimeError(f"{stage}: the worker exited with code {code} and sent no result")
-    ok, value = pickle.loads(data)
+        raise RuntimeError(f"{stage}: the worker exited with code {code} without its whole result")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as exc:  # a cut or corrupted result must not pass as a verdict
+        raise RuntimeError(f"{stage}: the worker's result does not unpickle: {exc!r}") from None
     if not ok:
         raise value
     return mine, value
@@ -99,11 +89,13 @@ def both(stage: str, faces: int, here: Callable[[], Any], there: Callable[[], An
 
 def _serve(stage: str, there: Callable[[], object], read_fd: int, write_fd: int) -> NoReturn:
     """The worker: send ``there()``, or the exception it raised, down the
-    pipe, then leave without flushing or running any exit handler."""
+    pipe, then leave without flushing or running any exit handler, with
+    code 0 only once the whole of it is written."""
     import pickle
 
     global _in_worker
     _in_worker = True
+    code = 1
     try:
         os.close(read_fd)
         try:
@@ -112,8 +104,9 @@ def _serve(stage: str, there: Callable[[], object], read_fd: int, write_fd: int)
             data = _pickled_failure(stage, exc)
         with open(write_fd, "wb") as pipe:
             pipe.write(data)
+        code = 0
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
 def _pickled_failure(stage: str, exc: BaseException) -> bytes:
@@ -122,11 +115,8 @@ def _pickled_failure(stage: str, exc: BaseException) -> bytes:
     import pickle
 
     try:
-        data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps((False, exc))
         pickle.loads(data)
+        return data
     except Exception:
-        data = pickle.dumps(
-            (False, RuntimeError(f"{stage}: {type(exc).__name__}: {exc}")),
-            pickle.HIGHEST_PROTOCOL,
-        )
-    return data
+        return pickle.dumps((False, RuntimeError(f"{stage}: {type(exc).__name__}: {exc}")))

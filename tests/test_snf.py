@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -310,6 +311,16 @@ def test_dense_fallback_refuses_a_large_residual():
     with pytest.raises(ValueError, match="101 x 100"):
         smith_normal_form(rows_from_dense([[2] * 100 for _ in range(101)]))
     assert smith_normal_form(rows_from_dense([[2] * 100 for _ in range(100)])) == (2,)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), "1"])
+def test_an_entry_that_is_no_int_is_refused(bad):
+    for rows in ({0: {0: bad}}, {0: {0: bad, 1: 4}, 1: {1: 6}}, {0: {0: 1}, 1: {0: 2, 1: bad}}):
+        kept = copy.deepcopy(rows)
+        with pytest.raises(ValueError, match="must be ints"):
+            smith_normal_form(rows)
+        assert rows == kept  # refused before any elimination
+    assert smith_normal_form({0: {0: True, 1: 2}, 1: {1: 6}}) == (1, 6)  # bool is an int
 
 
 def test_field_ranks_never_import_numpy(subprocess_env):

@@ -15,9 +15,10 @@ import time
 import pytest
 
 from hcomplex import reports, workers
+from hcomplex.cli import main
 from hcomplex.complexes import FaceTable, enumerate_faces
 from hcomplex.homology import invariant_factors
-from hcomplex.matching import build_matching
+from hcomplex.matching import _partner_span, build_matching
 from hcomplex.reports import conjecture_row
 from hcomplex.witnesses import admissible_pairs, verify_witness, witness_payload
 
@@ -67,19 +68,39 @@ def test_worker_on_and_off_give_the_same_results(n, monkeypatch):
     _no_child_left()
 
 
-def test_the_cover_scan_splits_where_half_the_covers_lie(worker_on, monkeypatch):
-    seen = []
-    split = workers.split
+def test_the_cover_scan_never_forks(worker_on, no_fork):
+    offsets, lowers = enumerate_faces(6).cover_incidence()
+    assert len(offsets) == 721 and len(lowers) == offsets[-1]
 
-    def spy(stage, size, scan, mid):
-        seen.append((stage, size, mid))
-        return split(stage, size, scan, mid)
 
-    monkeypatch.setattr(workers, "split", spy)
-    offsets, _ = enumerate_faces(6).cover_incidence()
-    ((stage, size, mid),) = seen
-    assert (stage, size) == ("cover_incidence", 720)
-    assert offsets[mid - 1] < offsets[-1] // 2 <= offsets[mid]
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())  # a worker's own count stays in the worker
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_a_row_of_min_faces_forks_twice_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    assert conjecture_row(6).verdict == "PASS" and forks == []
+    assert conjecture_row(7).verdict == "PASS"
+    assert forks == [os.getpid()] * 2
+    _no_child_left()
+
+
+def test_the_cover_and_partner_scans_of_a_row_share_one_fork_and_one_array(worker_on, monkeypatch):
+    forks = _counting_forks(monkeypatch)
+    t = enumerate_faces(6)
+    matching = reports.scan_table(t)
+    assert len(forks) == 1 and t._incidence is not None
+    assert t._partners is matching.partners
+    assert bytes(matching.partners) == bytes(build_matching(enumerate_faces(6)).partners)
     _no_child_left()
 
 
@@ -150,23 +171,23 @@ def test_only_tables_from_n7_fork_by_default(monkeypatch):
 
 
 def _swapped_table():
-    # faces 12 and 23 trade words, both in the upper half of the ids, so
-    # only the worker's half of the scan meets them
+    # faces 16 and 20 trade words, both in the upper half of the ids, so
+    # only the worker's half of the partner scan meets them
     t = enumerate_faces(4)
     words = list(t.words)
-    words[12], words[23] = words[23], words[12]
+    words[16], words[20] = words[20], words[16]
     return FaceTable(4, words, t.bars)
 
 
 def test_an_exception_in_the_worker_is_raised_again_in_the_parent(worker_on, monkeypatch):
     bad = _swapped_table()
-    bad._cover_span(0, len(bad) // 2)  # this process's half is clean
+    _partner_span(bad, 0, len(bad) // 2)  # this process's half is clean
     with pytest.raises(AssertionError, match="out of lex order") as forked:
-        bad.cover_incidence()
+        build_matching(bad)
     _no_child_left()
     monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     with pytest.raises(AssertionError) as serial:
-        _swapped_table().cover_incidence()
+        build_matching(_swapped_table())
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
 
@@ -182,18 +203,54 @@ def _one_bar_count_off(fid):
 def test_one_wrong_bar_count_names_its_face_with_and_without_the_worker(
     fid, worker_on, monkeypatch
 ):
+    # the cover scan raises in this process while the partner scan runs in the worker
     with pytest.raises(AssertionError, match=rf"\bface {fid}\b") as forked:
-        _one_bar_count_off(fid).cover_incidence()
+        reports.scan_table(_one_bar_count_off(fid))
     _no_child_left()
     monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     with pytest.raises(AssertionError, match=rf"\bface {fid}\b") as serial:
-        _one_bar_count_off(fid).cover_incidence()
+        reports.scan_table(_one_bar_count_off(fid))
     assert str(forked.value) == str(serial.value)
 
 
 def test_a_worker_that_exits_without_a_result_raises_runtime_error(worker_on):
     with pytest.raises(RuntimeError, match=r"^a stage: the worker exited with code 3"):
         workers.both("a stage", 1, lambda: 1, lambda: os._exit(3))
+    _no_child_left()
+
+
+def test_a_result_that_does_not_unpickle_raises_runtime_error(worker_on, monkeypatch):
+    import pickle
+
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-3])  # the worker's only
+    with pytest.raises(RuntimeError, match=r"^a stage: the worker's result does not unpickle"):
+        workers.both("a stage", 1, lambda: 1, lambda: list(range(100)))
+    _no_child_left()
+
+
+def test_a_worker_whose_write_fails_part_way_exits_non_zero(worker_on, monkeypatch):
+    class HalfWrite:
+        def __init__(self, fd):
+            self.pipe = open(fd, "wb")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.pipe.close()
+
+        def write(self, data):
+            self.pipe.write(data[:len(data) // 2])
+            self.pipe.flush()
+            raise OSError("the pipe broke")
+
+    def opens(fd, mode):  # only the worker writes
+        return HalfWrite(fd) if mode == "wb" else open(fd, mode)
+
+    monkeypatch.setattr(workers, "open", opens, raising=False)
+    with pytest.raises(RuntimeError, match=r"^a stage: the worker exited with code 1 without"):
+        workers.both("a stage", 1, lambda: 1, lambda: list(range(10_000)))
     _no_child_left()
 
 
@@ -261,3 +318,31 @@ def test_importing_the_cli_loads_no_pickle_or_multiprocessing(subprocess_env):
         check=True,
     )
     assert out.stdout == "[]\n", out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--n", "7"], ["match", "--n", "7", "--dual"],
+    ["morse", "--n", "7"], ["morse", "--n", "7", "--dual"],
+    ["report", "--n-max", "7"],
+])
+def test_the_cli_prints_the_same_bytes_with_the_worker_on_and_off(argv, capsys, monkeypatch):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+    assert main(argv) == 0
+    off = capsys.readouterr()
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr() == off and off.out
+    assert len(forks) == {"match": 1, "morse": 1, "report": 2}[argv[0]]
+    _no_child_left()
+
+
+def test_the_cli_exits_2_on_a_worker_result_that_does_not_unpickle(worker_on, capsys, monkeypatch):
+    import pickle
+
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-3])
+    assert main(["report", "--n-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: primal partner ids: the worker's result does not unpickle"), err
+    _no_child_left()
